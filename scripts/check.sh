@@ -184,5 +184,23 @@ echo "== differential fuzz smoke (fixed seed, full backend x executor matrix) ==
 # machines nobody wrote can silently rot between full fuzz sessions
 python -m repro fuzz --seed 7 --count 20
 
+echo "== perfbench correctness smoke (sieve-stats, cold-specs) =="
+# the two stats-on benchmark workloads digest every op's observables,
+# full statistics included, against a threaded reference run; a one-second
+# run of each must report "correct": true on its last line, so a compiled
+# kernel that miscounts cannot pass on green unit tests alone
+for workload in sieve-stats cold-specs; do
+    result="$(python3 perfbench/run.py --ref-nominal-ms 3.0 \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    python - "$workload" "$result" <<'PERFSMOKE'
+import json, sys
+
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+assert result["correct"] is True, (workload, result)
+print(f"perfbench smoke: {workload} correct "
+      f"({result['attempted']} ops, {result['failed']} failed)")
+PERFSMOKE
+done
+
 echo "== tier-1 tests =="
 python -m pytest -x -q

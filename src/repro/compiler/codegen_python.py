@@ -9,11 +9,11 @@ generated program is a Python module exposing the fast-path function::
 
 plus — when generated from a lowered program via
 :func:`generate_program_python` — ``simulate_instrumented(cycles, io,
-inst)`` (the same schedule with instrumentation hook call sites, see
-:mod:`repro.core.instrument`) and, when spec-level optimization changed the
-specification, ``simulate_full`` (hooks over the original schedule for
-``override`` runs).  The fast path has the same structure as the paper's
-generated main program:
+inst)`` (the same statements plus inline statistics counters, trace flags
+and ``override`` sites, see :mod:`repro.core.instrument`) and, when
+spec-level optimization changed the specification, ``simulate_full`` (the
+same over the original schedule, for ``override`` runs).  The fast path
+has the same structure as the paper's generated main program:
 
 * local variables ``v_<name>`` for every ALU/selector (the paper's
   ``ljb<name>``),
@@ -30,6 +30,8 @@ dispatch (Figure 4.3).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.compiler.emitter import CodeWriter
 from repro.compiler.optimizer import (
     CodegenOptions,
@@ -39,7 +41,8 @@ from repro.compiler.optimizer import (
     memory_may_trace_writes,
     selector_constant_cases,
 )
-from repro.rtl.alu_ops import function_info
+from repro.core.instrument import DEADLINE_CHECK_CYCLES
+from repro.rtl.alu_ops import FUNCTION_COUNT, function_info
 from repro.rtl.components import Alu, Memory, Selector
 from repro.rtl.dependency import sort_combinational
 from repro.rtl.memory_ops import should_trace_read, should_trace_write
@@ -112,18 +115,22 @@ class PythonCodeGenerator:
         writer.blank()
         writer.line(f"COMPONENT_COUNT = {len(self.spec.components)}")
 
-    def _emit_constant_tables(self, writer: CodeWriter) -> None:
-        """Module-level tuples for selectors whose cases are all constant."""
+    def _emit_constant_tables(self, writer: CodeWriter, skip=frozenset()) -> set:
+        """Module-level tuples for selectors whose cases are all constant
+        (but those named in *skip*); returns the names emitted."""
+        emitted: set[str] = set()
         if not self.options.fold_constant_selectors:
-            return
+            return emitted
         for selector in self.spec.selectors():
             cases = selector_constant_cases(selector)
-            if cases is None:
+            if cases is None or selector.name in skip:
                 continue
             values = ", ".join(str(v) for v in cases)
             if len(cases) == 1:
                 values += ","
             writer.line(f"_SEL_{selector.name} = ({values})")
+            emitted.add(selector.name)
+        return emitted
 
     def _emit_initialisation(self, writer: CodeWriter) -> None:
         writer.comment("component values (paper: ljb<name> / temp<name>)")
@@ -202,11 +209,7 @@ class PythonCodeGenerator:
     def _emit_memory_requests(self, writer: CodeWriter) -> None:
         writer.comment("latch memory address/data/operation before any update")
         for memory in self._memories:
-            constant = (
-                constant_memory_operation(memory)
-                if self.options.specialize_constant_memory_ops
-                else None
-            )
+            constant = self._constant_operation(memory)
             writer.line(f"a_{memory.name} = {self._expr(memory.address)}")
             if constant is None or (constant & 3) in (1, 3):
                 writer.line(f"d_{memory.name} = {self._expr(memory.data)}")
@@ -242,61 +245,64 @@ class PythonCodeGenerator:
             writer.line(f"io.write(a_{name}, d_{name}, cycle=cyclecount)")
 
     def _emit_access_trace(
-        self, writer: CodeWriter, memory: Memory, constant: int | None
+        self, writer: CodeWriter, memory: Memory, constant: int | None,
+        flag: str,
     ) -> None:
-        if not self.options.emit_access_trace:
-            return
+        """Emit the "Read from"/"Write to" records, behind run flag *flag*."""
         name = memory.name
         if constant is not None:
             if should_trace_write(constant):
-                with writer.block("if do_trace:"):
+                with writer.block(f"if {flag}:"):
                     writer.line(
                         f"trace_log.record_access(cyclecount, {name!r}, 'write', "
                         f"a_{name}, t_{name})"
                     )
             if should_trace_read(constant):
-                with writer.block("if do_trace:"):
+                with writer.block(f"if {flag}:"):
                     writer.line(
                         f"trace_log.record_access(cyclecount, {name!r}, 'read', "
                         f"a_{name}, t_{name})"
                     )
             return
         if memory_may_trace_writes(memory):
-            with writer.block(f"if do_trace and (o_{name} & 5) == 5:"):
+            with writer.block(f"if {flag} and (o_{name} & 5) == 5:"):
                 writer.line(
                     f"trace_log.record_access(cyclecount, {name!r}, 'write', "
                     f"a_{name}, t_{name})"
                 )
         if memory_may_trace_reads(memory):
-            with writer.block(f"if do_trace and (o_{name} & 9) == 8:"):
+            with writer.block(f"if {flag} and (o_{name} & 9) == 8:"):
                 writer.line(
                     f"trace_log.record_access(cyclecount, {name!r}, 'read', "
                     f"a_{name}, t_{name})"
                 )
 
+    def _constant_operation(self, memory: Memory) -> int | None:
+        if not self.options.specialize_constant_memory_ops:
+            return None
+        return constant_memory_operation(memory)
+
+    def _emit_memory_update(
+        self, writer: CodeWriter, memory: Memory, trace_flag: str | None
+    ) -> None:
+        """Apply one memory's operation; a dynamic one leaves ``_op``."""
+        constant = self._constant_operation(memory)
+        if constant is not None:
+            self._emit_memory_operation(writer, memory, constant)
+        else:
+            writer.line(f"_op = o_{memory.name} & 3")
+            for op, keyword in enumerate(("if", "elif", "elif", "else")):
+                condition = f" _op == {op}" if op < 3 else ""
+                with writer.block(f"{keyword}{condition}:"):
+                    self._emit_memory_operation(writer, memory, op)
+        if trace_flag is not None:
+            self._emit_access_trace(writer, memory, constant, trace_flag)
+
     def _emit_memory_updates(self, writer: CodeWriter) -> None:
         writer.comment("apply memory operations and latch new outputs")
+        trace_flag = "do_trace" if self.options.emit_access_trace else None
         for memory in self._memories:
-            name = memory.name
-            constant = (
-                constant_memory_operation(memory)
-                if self.options.specialize_constant_memory_ops
-                else None
-            )
-            if constant is not None:
-                self._emit_memory_operation(writer, memory, constant)
-                self._emit_access_trace(writer, memory, constant)
-                continue
-            writer.line(f"_op = o_{name} & 3")
-            with writer.block("if _op == 0:"):
-                self._emit_memory_operation(writer, memory, 0)
-            with writer.block("elif _op == 1:"):
-                self._emit_memory_operation(writer, memory, 1)
-            with writer.block("elif _op == 2:"):
-                self._emit_memory_operation(writer, memory, 2)
-            with writer.block("else:"):
-                self._emit_memory_operation(writer, memory, 3)
-            self._emit_access_trace(writer, memory, None)
+            self._emit_memory_update(writer, memory, trace_flag)
 
     # -- lane variant --------------------------------------------------------------------
 
@@ -407,83 +413,81 @@ class PythonCodeGenerator:
     # -- instrumented variant ------------------------------------------------------------
 
     def emit_instrumented_function(self, writer: CodeWriter, name: str) -> None:
-        """Emit a ``simulate`` variant carrying instrumentation call sites.
+        """Emit the fast path's statements plus inline statistics counters.
 
-        The generated function takes ``(cycles, io, inst)`` where *inst* is
-        the shared :class:`~repro.core.instrument.Instrumentation`; every
-        component evaluation routes its value through the same hook methods
-        the interpreter and threaded backends call, which is what gives the
-        compiled backend full statistics, per-cycle ``override`` support
-        and run-time trace-name selection.  The fast-path ``simulate``
-        carries none of these call sites, so uninstrumented runs pay
-        nothing for them.
+        The generated ``(cycles, io, inst)`` function counts what the
+        hooks of :mod:`repro.core.instrument` would record in per-run
+        locals and folds them into ``inst.stats`` once, after the loop.
+        Constant ALU functions, operations and addresses cost nothing per
+        cycle (they fold as ``cycles``).  Selectors share one case-count
+        list per distinct select expression, bumped by its first reader:
+        the expression reads values fixed for the cycle (``override``
+        rewrites a value before anything reads it), so every reader takes
+        the same case.  Traces sit behind per-run flags whatever the trace
+        options (those shape only the standalone fast path), and the one
+        per-component call into Python left is the user's ``override``.
         """
+        expressions: dict[str, int] = {}
+        slots = {
+            selector.name: expressions.setdefault(
+                self._expr(selector.select), len(expressions))
+            for selector in self.spec.selectors()
+        }
+        # an index counted by a select expression's first reader is below
+        # every reader's case count, or a reader raises and ends the run
+        width = max((s.case_count for s in self.spec.selectors()), default=0)
+        bumped: set[int] = set()
         with writer.block(f"def {name}(cycles, io, inst):"):
             self._emit_initialisation(writer)
+            writer.comment("per-run flags, and counters folded into the stats")
+            writer.line("ov, dl, tc = inst.override, inst.deadline, inst.traced")
+            writer.line("ta, trace_log = inst.trace_accesses, inst.trace_log")
+            writer.line(f"_fc = [0] * {FUNCTION_COUNT}")
+            for slot in range(len(expressions)):
+                writer.line(f"_sc{slot} = [0] * {width}")
+            for memory in self._memories:
+                if self._constant_operation(memory) is None:
+                    writer.line(f"_mo_{memory.name} = [0, 0, 0, 0]")
+                if not memory.address.is_constant:
+                    writer.line(f"_ma_{memory.name} = set()")
             writer.line("cyclecount = 0")
             with writer.block("while cyclecount < cycles:"):
-                writer.comment(
-                    "combinational components with instrumentation hooks"
-                )
+                writer.comment("combinational components in dependency order")
                 for component in self._combinational:
                     if isinstance(component, Alu):
-                        self._emit_alu_instrumented(writer, component)
+                        self._emit_alu(writer, component)
+                        if constant_alu_function(component) is None:
+                            funct = self._expr(component.funct)
+                            writer.line(f"_fc[{funct}] += 1")
                     else:
-                        assert isinstance(component, Selector)
-                        self._emit_selector_instrumented(writer, component)
+                        self._emit_selector(writer, component)
+                        slot = slots[component.name]
+                        if slot not in bumped:
+                            bumped.add(slot)
+                            writer.line(f"_sc{slot}[_i] += 1")
+                    self._emit_override(writer, "v_", component.name)
                 self._emit_instrumented_cycle_trace(writer)
-                writer.comment(
-                    "latch memory address/data/operation before any update"
-                )
+                self._emit_memory_requests(writer)
+                writer.comment("apply memory operations and latch new outputs")
                 for memory in self._memories:
-                    writer.line(f"a_{memory.name} = {self._expr(memory.address)}")
-                    writer.line(f"d_{memory.name} = {self._expr(memory.data)}")
-                    writer.line(
-                        f"o_{memory.name} = {self._expr(memory.operation)}"
-                    )
-                writer.comment("apply memory operations through the hook")
-                for memory in self._memories:
-                    self._emit_memory_update_instrumented(writer, memory)
+                    self._emit_memory_update(writer, memory, "ta")
+                    if self._constant_operation(memory) is None:
+                        writer.line(f"_mo_{memory.name}[_op] += 1")
+                    if not memory.address.is_constant:
+                        writer.line(f"_ma_{memory.name}.add(a_{memory.name})")
+                    self._emit_override(writer, "t_", memory.name)
                 writer.line("cyclecount += 1")
+                with writer.block("if dl is not None and not cyclecount % "
+                                  f"{DEADLINE_CHECK_CYCLES}:"):
+                    writer.line("inst.check_deadline()")
+            self._emit_fold(writer, slots)
             self._emit_return(writer)
 
-    def _emit_alu_instrumented(self, writer: CodeWriter, alu: Alu) -> None:
-        name = alu.name
-        left = self._expr(alu.left)
-        right = self._expr(alu.right)
-        constant = constant_alu_function(alu)
-        if constant is not None:
-            if self.options.inline_constant_functions:
-                template = function_info(constant).python_template
-                writer.line(f"v_{name} = {template.format(l=left, r=right)}")
-            else:
-                writer.line(f"v_{name} = dologic({constant}, {left}, {right})")
-            writer.line(
-                f"v_{name} = inst.alu({name!r}, {constant}, v_{name}, "
-                "cyclecount)"
-            )
-            return
-        writer.line(f"_f = {self._expr(alu.funct)}")
-        writer.line(f"v_{name} = dologic(_f, {left}, {right})")
-        writer.line(f"v_{name} = inst.alu({name!r}, _f, v_{name}, cyclecount)")
-
-    def _emit_selector_instrumented(
-        self, writer: CodeWriter, selector: Selector
-    ) -> None:
-        name = selector.name
-        count = selector.case_count
-        writer.line(f"_i = {self._expr(selector.select)}")
-        for case_index, case in enumerate(selector.cases):
-            keyword = "if" if case_index == 0 else "elif"
-            with writer.block(f"{keyword} _i == {case_index}:"):
-                writer.line(f"v_{name} = {self._expr(case)}")
-        with writer.block("else:"):
-            writer.line(
-                f"selector_case_error({name!r}, _i, {count}, cyclecount)"
-            )
-        writer.line(
-            f"v_{name} = inst.selector({name!r}, _i, v_{name}, cyclecount)"
-        )
+    @staticmethod
+    def _emit_override(writer: CodeWriter, prefix: str, name: str) -> None:
+        variable = prefix + name
+        with writer.block("if ov is not None:"):
+            writer.line(f"{variable} = ov({name!r}, {variable}, cyclecount)")
 
     def _emit_instrumented_cycle_trace(self, writer: CodeWriter) -> None:
         """Hand every component value to the instrumentation layer, which
@@ -493,26 +497,33 @@ class PythonCodeGenerator:
             f"{component.name!r}: {self.resolve(component.name)}"
             for component in self.spec.components
         )
-        with writer.block("if inst.wants_cycle_trace():"):
+        with writer.block("if tc and inst.wants_cycle_trace():"):
             writer.line(f"inst.record_cycle_values(cyclecount, {{{entries}}})")
 
-    def _emit_memory_update_instrumented(
-        self, writer: CodeWriter, memory: Memory
-    ) -> None:
-        name = memory.name
-        writer.line(f"_op = o_{name} & 3")
-        with writer.block("if _op == 0:"):
-            self._emit_memory_operation(writer, memory, 0)
-        with writer.block("elif _op == 1:"):
-            self._emit_memory_operation(writer, memory, 1)
-        with writer.block("elif _op == 2:"):
-            self._emit_memory_operation(writer, memory, 2)
-        with writer.block("else:"):
-            self._emit_memory_operation(writer, memory, 3)
-        writer.line(
-            f"t_{name} = inst.memory({name!r}, o_{name}, a_{name}, t_{name}, "
-            "cyclecount)"
-        )
+    def _emit_fold(self, writer: CodeWriter, slots: dict[str, int]) -> None:
+        """Hand the counters to ``inst.fold_counts``, constants included."""
+        constants = Counter(map(constant_alu_function, self.spec.alus()))
+        constants.pop(None, None)
+        functions = tuple(constants.items())
+        memories = ""
+        for memory in self._memories:
+            constant = self._constant_operation(memory)
+            if constant is None:
+                ops = f"_mo_{memory.name}"
+            else:
+                counts = ["0"] * 4
+                counts[constant & 3] = "cyclecount"
+                ops = f"({', '.join(counts)})"
+            addresses = f"_ma_{memory.name}"
+            if memory.address.is_constant:
+                addresses = f"({memory.address.constant_value()},)"
+            memories += f"({memory.name!r}, {ops}, {addresses}), "
+        selectors = "".join(f"({n!r}, _sc{i}), " for n, i in slots.items())
+        writer.comment("fold the counters into the statistics, once")
+        with writer.block("if inst.stats is not None and cyclecount:"):
+            writer.line(f"inst.fold_counts(cyclecount, {functions!r}, _fc,")
+            writer.line(f"                 ({selectors}),")
+            writer.line(f"                 ({memories}))")
 
     # -- result -------------------------------------------------------------------------
 
@@ -551,20 +562,27 @@ def generate_program_python(
     """Generate the full simulator module for a lowered *program*.
 
     The module contains the fast-path ``simulate`` plus
-    ``simulate_instrumented`` (hook call sites, optimized schedule),
+    ``simulate_instrumented`` (the fast path's statements with inline
+    statistics counters, see
+    :meth:`PythonCodeGenerator.emit_instrumented_function`),
     ``simulate_lanes`` (the lane fast path: N uninstrumented run variants
     per walk of the cycle loop, see
     :meth:`PythonCodeGenerator.emit_lanes_function`) and — when spec-level
-    optimization changed the specification — ``simulate_full`` (hook call
-    sites over the *original* schedule, used for ``override`` runs that
-    must see every pre-specopt component).
+    optimization changed the specification — ``simulate_full`` (the same
+    instrumented kernel over the *original* schedule, used for
+    ``override`` runs that must see every pre-specopt component).
     """
     import dataclasses
 
     fast = PythonCodeGenerator(program.opt_spec, options)
     writer = CodeWriter()
     fast._emit_prologue(writer)
-    fast._emit_constant_tables(writer)
+    emitted = fast._emit_constant_tables(writer)
+    if program.changed:
+        # simulate_full reads the tables of selectors specopt removed too;
+        # a selector it kept keeps its constant cases
+        full = PythonCodeGenerator(program.spec, options)
+        full._emit_constant_tables(writer, skip=emitted)
     writer.blank()
     fast.emit_simulate(writer)
     writer.blank()
@@ -580,6 +598,5 @@ def generate_program_python(
     lanes.emit_lanes_function(writer, "simulate_lanes")
     if program.changed:
         writer.blank()
-        full = PythonCodeGenerator(program.spec, options)
         full.emit_instrumented_function(writer, "simulate_full")
     return writer.render()

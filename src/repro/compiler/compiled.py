@@ -7,20 +7,24 @@ byte-compiled with :func:`compile`/``exec``.  ``run`` executes a generated
 ``simulate`` function — the phase the paper reports as roughly 20x faster
 than the ASIM interpreter (Figure 5.1).
 
-The generated module carries three entry points so that the fast path stays
-fast while instrumented runs share the exact hook semantics of the other
-backends (:mod:`repro.core.instrument`):
+The generated module carries these entry points, all built from the same
+statement emitters (the paper's Section 4.4 specialisations included):
 
-* ``simulate`` — the paper's straight-line program, no hook call sites;
-  used when a run collects nothing (no stats, no traces, no ``override``);
-* ``simulate_instrumented`` — the same schedule with instrumentation call
-  sites after every component evaluation; gives the compiled backend full
-  per-ALU/selector/memory statistics, run-time trace-name selection and
-  per-cycle ``override`` support;
-* ``simulate_full`` — hook call sites over the *original* (pre-specopt)
+* ``simulate`` — the paper's straight-line program; used when a run
+  collects nothing (no stats, no traces, no ``override``, no deadline);
+* ``simulate_instrumented`` — the same statements plus inline statistics
+  counters folded in once per run, traces behind per-run flags, a deadline
+  check every :data:`~repro.core.instrument.DEADLINE_CHECK_CYCLES` cycles
+  and the user's ``override`` as the one per-component call into Python;
+  it records exactly what the other backends' hooks record, at ~1.4x the
+  fast path's time on the Figure 5.1 sieve (a hook per component per
+  cycle cost ~17x);
+* ``simulate_full`` — the same kernel over the *original* (pre-specopt)
   schedule, generated only when spec-level optimization changed the
   specification; ``override`` runs execute it so the hook sees every
-  original component.
+  original component;
+* ``simulate_lanes`` — the lane fast path (N uninstrumented runs per walk
+  of the schedule).
 
 Two optional performance layers wrap the paper's pipeline:
 
@@ -133,15 +137,12 @@ class CompiledSimulation(PreparedSimulation):
                     f"generated simulator for {self.spec.source_name} "
                     f"failed: {exc!r}"
                 ) from exc
-        elif plan.uses_full:
+        else:
             # instrumented paths run user hooks (override), whose exceptions
             # must propagate unwrapped, exactly as on the other backends
-            raw = self._simulate_full(plan.cycle_count, plan.io_system,
-                                      plan.inst)
-        else:
-            raw = self._simulate_instrumented(
-                plan.cycle_count, plan.io_system, plan.inst
-            )
+            kernel = (self._simulate_full if plan.uses_full
+                      else self._simulate_instrumented)
+            raw = kernel(plan.cycle_count, plan.io_system, plan.inst)
         run_seconds = time.perf_counter() - start
 
         plan.finish()
@@ -170,10 +171,10 @@ class CompiledSimulation(PreparedSimulation):
     ) -> list:
         """Lane groups run the generated ``simulate_lanes`` entry point.
 
-        Statistics-collecting groups need per-lane hook call sites, which
-        the generated lane loop deliberately omits — they route through
-        the generic lane evaluator over the shared lowered program
-        instead (still one schedule walk for the whole group).
+        The generated lane loop counts no statistics, so
+        statistics-collecting groups route through the generic lane
+        evaluator over the shared lowered program instead (still one
+        schedule walk for the whole group).
         """
         if collect_stats or self._simulate_lanes is None:
             return super().run_lanes(

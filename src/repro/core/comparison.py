@@ -67,8 +67,10 @@ def compare_results(
     equivalence sweeps and the CLI's ``serve-batch --check``.
     ``compare_stats`` asserts the instrumentation-layer parity: identical
     cycle/evaluation counts and identical per-ALU/selector/memory
-    breakdowns (only meaningful when both runs executed the same effective
-    program, e.g. the same specopt configuration or an ``override`` run).
+    breakdowns, compared exactly (a zero-count key differs from an absent
+    one; see :meth:`SimulationStats.breakdown`) — only meaningful when
+    both runs executed the same effective program, e.g. the same specopt
+    configuration or an ``override`` run.
     """
     return _compare_results(reference, candidate, compare_trace,
                             compare_stats)
@@ -114,13 +116,12 @@ def _compare_results(
         if ref_accesses != cand_accesses:
             mismatches.append("memory access traces differ")
     if compare_stats and reference.stats != candidate.stats:
-        mismatches.append(
-            "statistics differ: "
-            f"{reference.stats.cycles} cycles / "
-            f"{reference.stats.component_evaluations} evaluations (reference) "
-            f"vs {candidate.stats.cycles} / "
-            f"{candidate.stats.component_evaluations} (candidate)"
-        )
+        ref_fields = reference.stats.breakdown()
+        cand_fields = candidate.stats.breakdown()
+        differing = [
+            name for name in ref_fields if ref_fields[name] != cand_fields[name]
+        ]
+        mismatches.append("statistics differ: " + ", ".join(differing))
     return mismatches
 
 

@@ -1,11 +1,9 @@
 """The single instrumentation layer every backend honors.
 
 Statistics recording, per-cycle value tracing, memory access tracing and
-the per-cycle ``override`` hook (fault injection) used to be implemented
-three times — once per backend — with slightly different capabilities (the
-compiled backend had neither ``override`` nor the full statistics
-breakdown).  This module implements them once, as an
-:class:`Instrumentation` object whose hook methods every backend calls at
+the per-cycle ``override`` hook (fault injection) are implemented once, in
+an :class:`Instrumentation` object, with the same semantics on every
+backend.  The interpreter and threaded backends call its hook methods at
 the same points of the cycle:
 
 * after each ALU / selector evaluates (:meth:`Instrumentation.alu`,
@@ -18,8 +16,12 @@ the same points of the cycle:
   access, emits "Read from"/"Write to" trace records from the operation's
   trace bits, and applies the override to the latched output.
 
-Because every backend calls the same hooks in the same order, the three
-backends produce bit-identical traces and identical statistics for the
+The compiled backend's generated kernel calls no hook: it counts in
+per-run locals and hands the counts to :meth:`Instrumentation.fold_counts`
+once, after the cycle loop, so a stats-on compiled run costs ~1.4x its
+fast path on the Figure 5.1 sieve (a hook per component per cycle cost
+~17x).  Every backend records the same counts, traces and overrides, so
+the three produce bit-identical traces and identical statistics for the
 same effective program — the parity the equivalence matrix asserts.
 
 :func:`plan_run` is the shared front half of every backend's ``run``: it
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -48,10 +51,13 @@ from repro.errors import DeadlineExceededError, UnknownComponentError
 # Cooperative run deadlines
 # ---------------------------------------------------------------------------
 
-#: Hook calls between deadline checks: frequent enough that a cycle of any
-#: bundled machine spans at most a few intervals, rare enough that the
-#: ``time.monotonic`` call stays off the per-component hot path.
+#: Hook calls between deadline checks (interpreter and threaded backends):
+#: frequent enough that a cycle of any bundled machine spans at most a few
+#: intervals, rare enough that ``time.monotonic`` stays off the hot path.
 DEADLINE_CHECK_INTERVAL = 64
+#: Cycles between deadline checks in the compiled kernel, which makes no
+#: hook call to count: under a millisecond of the Figure 5.1 sieve.
+DEADLINE_CHECK_CYCLES = 256
 
 _AMBIENT_DEADLINE = threading.local()
 
@@ -68,7 +74,8 @@ def run_deadline(deadline: float | None):
     The serving executors wrap run execution in this context manager;
     :func:`plan_run` picks the deadline up when building the run's
     :class:`Instrumentation`, whose hooks then check the monotonic clock
-    every :data:`DEADLINE_CHECK_INTERVAL` calls and raise
+    every :data:`DEADLINE_CHECK_INTERVAL` calls (the compiled kernel:
+    every :data:`DEADLINE_CHECK_CYCLES` cycles) and raise
     :class:`~repro.errors.DeadlineExceededError` once it has passed.  The
     deadline is carried in a thread-local, so the ``run`` signature —
     uniform across backends, including generated compiled code — never
@@ -129,19 +136,23 @@ class Instrumentation:
     def tick(self) -> None:
         """Count one hook call; periodically check the run deadline.
 
-        Every backend's instrumented path calls the hooks per component
-        per cycle, so the check fires within a bounded number of
-        component evaluations of the deadline passing — on any backend,
-        generated compiled code included — without putting a clock read
-        on every evaluation.
+        The interpreter and threaded backends call the hooks per component
+        per cycle, so the check fires within a bounded number of component
+        evaluations of the deadline passing without putting a clock read
+        on every evaluation.  The compiled kernel calls no hook; it calls
+        :meth:`check_deadline` every :data:`DEADLINE_CHECK_CYCLES` cycles.
         """
         self._ticks += 1
         if self._ticks >= DEADLINE_CHECK_INTERVAL:
             self._ticks = 0
-            if time.monotonic() > self.deadline:
-                raise DeadlineExceededError(
-                    "run exceeded its deadline (cooperative timeout check)"
-                )
+            self.check_deadline()
+
+    def check_deadline(self) -> None:
+        """Raise :class:`DeadlineExceededError` once the deadline passed."""
+        if time.monotonic() > self.deadline:
+            raise DeadlineExceededError(
+                "run exceeded its deadline (cooperative timeout check)"
+            )
 
     # -- combinational hooks -------------------------------------------------
 
@@ -222,6 +233,35 @@ class Instrumentation:
         self.trace_log.record_cycle(cycle, row)
 
     # -- end of run ----------------------------------------------------------
+
+    def fold_counts(self, cycles: int, constant_functions, function_counts,
+                    selectors, memories) -> None:
+        """Fold the compiled kernel's per-run counters into the statistics.
+
+        Called once after *cycles* (> 0) cycles with what the hooks would
+        have recorded: ``(function code, ALUs)`` pairs of the constant
+        ALUs, the dynamic ALUs' counts by function code, ``(selector, case
+        counts)`` pairs and ``(memory, (reads, writes, inputs, outputs),
+        addresses)`` triples.  Only non-zero counts become keys.
+        """
+        stats = self.stats
+        usage = stats.alu_function_usage
+        for funct, alus in constant_functions:
+            usage[funct] += cycles * alus
+        for funct, count in enumerate(function_counts):
+            if count:
+                usage[funct] += count
+        for name, cases in selectors:
+            stats.selector_case_usage.setdefault(name, Counter()).update(
+                {index: count for index, count in enumerate(cases) if count}
+            )
+        for name, (reads, writes, inputs, outputs), addresses in memories:
+            memory = stats.memory(name)
+            memory.reads += reads
+            memory.writes += writes
+            memory.inputs += inputs
+            memory.outputs += outputs
+            memory.addresses_touched.update(addresses)
 
     def finish(self, cycles_run: int, evaluations_per_cycle: int) -> None:
         """Fold the whole-run counters into the statistics object."""
@@ -333,9 +373,10 @@ def plan_run(
         or options.trace_memory_accesses
         or deadline is not None
     ):
-        # a deadline alone forces the instrumented path: the hooks are the
-        # only per-cycle call sites every backend shares, so an otherwise
-        # fast-path run trades some speed for interruptibility
+        # a deadline alone forces the instrumented path, the only one that
+        # checks the clock: through the hooks on the interpreter and
+        # threaded backends, every DEADLINE_CHECK_CYCLES cycles in the
+        # compiled kernel
         inst = Instrumentation(
             stats=stats,
             override=override,

@@ -62,19 +62,54 @@ class SimulationStats:
     def record_evaluation(self, count: int = 1) -> None:
         self.component_evaluations += count
 
+    # the recorders run once per component per cycle on the hook paths, so
+    # they build a fresh MemoryStats/Counter only when the key is missing
+
     def record_memory_access(self, memory: str, operation: int, address: int) -> None:
-        self.memories.setdefault(memory, MemoryStats()).record(operation, address)
+        self.memory(memory).record(operation, address)
 
     def record_alu_function(self, funct: int) -> None:
         self.alu_function_usage[funct] += 1
 
     def record_selector_case(self, selector: str, index: int) -> None:
-        self.selector_case_usage.setdefault(selector, Counter())[index] += 1
+        cases = self.selector_case_usage.get(selector)
+        if cases is None:
+            cases = self.selector_case_usage[selector] = Counter()
+        cases[index] += 1
+
+    # -- comparison --------------------------------------------------------------
+
+    def breakdown(self) -> dict[str, object]:
+        """Every field as plain data, for exact comparison.
+
+        The usage ``Counter`` objects become plain dicts: ``Counter``
+        equality treats a missing key as zero, but a zero-count key is
+        visible (profiling reports list it), so it must count as a
+        difference.
+        """
+        return {
+            "cycles": self.cycles,
+            "component_evaluations": self.component_evaluations,
+            "memories": self.memories,
+            "alu_function_usage": dict(self.alu_function_usage),
+            "selector_case_usage": {
+                name: dict(cases)
+                for name, cases in self.selector_case_usage.items()
+            },
+        }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationStats):
+            return NotImplemented
+        return self.breakdown() == other.breakdown()
 
     # -- queries -----------------------------------------------------------------
 
     def memory(self, name: str) -> MemoryStats:
-        return self.memories.setdefault(name, MemoryStats())
+        stats = self.memories.get(name)
+        if stats is None:
+            stats = self.memories[name] = MemoryStats()
+        return stats
 
     @property
     def total_memory_accesses(self) -> int:

@@ -94,6 +94,29 @@ class TestRun:
             assert candidate.output_integers() == reference.output_integers()
             assert candidate.stats == reference.stats
 
+    def test_full_kernel_has_tables_of_selectors_specopt_removed(self):
+        # specopt folds 'sel' (constant select, constant cases) away, but
+        # an override run executes simulate_full over the original
+        # schedule, whose 'sel' reads its constant-case table
+        from repro.compiler.threaded import ThreadedBackend
+        from repro.core.comparison import compare_results
+
+        spec = parse_spec(
+            "# folded table\nacc k sel .\nS sel 1 3 5 7\n"
+            "A k 4 acc sel\nM acc 0 k 1 1\n.\n"
+        )
+
+        def identity(name, value, cycle):
+            return value
+
+        reference = ThreadedBackend(specopt=True, cache=False).run(
+            spec, cycles=5, override=identity)
+        candidate = CompiledBackend(specopt=True, cache=False).run(
+            spec, cycles=5, override=identity)
+        assert compare_results(reference, candidate, compare_trace=True,
+                               compare_stats=True) == []
+        assert candidate.value("acc") == 25
+
     def test_override_hook_exceptions_propagate_unwrapped(
         self, backend, counter_spec
     ):

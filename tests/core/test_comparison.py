@@ -76,3 +76,53 @@ class TestTraceComparison:
         result = compare_backends(counter_spec, cycles=10, trace=False)
         assert result.equivalent
         assert len(result.reference.trace) == 0
+
+
+class TestExactStatsComparison:
+    """``Counter`` equality treats a missing key as zero; the statistics
+    comparison must not, since a zero-count key is visible output."""
+
+    @staticmethod
+    def _result(stats):
+        from repro.core.results import SimulationResult
+        from repro.core.trace import TraceLog
+
+        return SimulationResult(
+            backend="interpreter", cycles_run=0, final_values={},
+            memory_contents={}, outputs=[], trace=TraceLog(False),
+            stats=stats, prepare_seconds=0.0, run_seconds=0.0,
+        )
+
+    def test_zero_count_key_is_a_mismatch(self):
+        from repro.core.comparison import compare_results
+        from repro.core.stats import SimulationStats
+
+        plain = SimulationStats()
+        padded = SimulationStats()
+        padded.alu_function_usage[7] = 0
+        assert plain != padded
+        mismatches = compare_results(self._result(plain),
+                                     self._result(padded), compare_stats=True)
+        assert mismatches == ["statistics differ: alu_function_usage"]
+
+    def test_zero_count_selector_case_is_a_mismatch(self):
+        from repro.core.comparison import compare_results
+        from repro.core.stats import SimulationStats
+
+        taken = SimulationStats()
+        taken.record_selector_case("decode", 1)
+        padded = SimulationStats()
+        padded.record_selector_case("decode", 1)
+        padded.selector_case_usage["decode"][2] = 0
+        assert compare_results(self._result(taken), self._result(padded),
+                               compare_stats=True)
+
+    def test_equal_breakdowns_compare_equal(self):
+        from repro.core.stats import SimulationStats
+
+        left, right = SimulationStats(), SimulationStats()
+        for stats in (left, right):
+            stats.record_alu_function(4)
+            stats.record_selector_case("decode", 0)
+            stats.record_memory_access("ram", 1, 3)
+        assert left == right

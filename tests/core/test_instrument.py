@@ -55,6 +55,24 @@ class TestHooks:
         assert stats.cycles == 10
         assert stats.component_evaluations == 40
 
+    def test_fold_counts_matches_the_hooks(self):
+        # the compiled kernel's one-shot fold must leave exactly what the
+        # per-cycle hooks record: zero counts never become keys
+        hooked, folded = SimulationStats(), SimulationStats()
+        inst = Instrumentation(stats=hooked)
+        for cycle, (funct, case, op) in enumerate([(4, 1, 0), (5, 1, 1)]):
+            inst.alu("c", 2, 0, cycle)   # constant function 2
+            inst.alu("d", funct, 0, cycle)
+            inst.selector("s", case, 0, cycle)
+            inst.selector("t", case, 0, cycle)
+            inst.memory("m", op, cycle, 0, cycle)
+        Instrumentation(stats=folded).fold_counts(
+            2, ((2, 1),), [0, 0, 0, 0, 1, 1, 0],
+            (("s", [0, 2, 0]), ("t", [0, 2, 0])),
+            (("m", [1, 1, 0, 0], {0, 1}),),
+        )
+        assert folded == hooked
+
     def test_cycle_trace_limit(self):
         log = TraceLog()
         inst = Instrumentation(

@@ -64,3 +64,31 @@ class TestSimulationStats:
         stats = SimulationStats()
         assert stats.memory("fresh").total_accesses == 0
         assert "fresh" in stats.memories
+
+    def test_recorders_build_entries_only_for_new_keys(self, monkeypatch):
+        # the hook paths call the recorders per component per cycle, so a
+        # repeated key must not construct (and discard) a fresh object
+        from repro.core import stats as stats_module
+
+        built = []
+
+        class CountingMemoryStats(MemoryStats):
+            def __init__(self):
+                built.append("memory")
+                super().__init__()
+
+        class CountingCounter(stats_module.Counter):
+            def __init__(self):
+                built.append("cases")
+                super().__init__()
+
+        monkeypatch.setattr(stats_module, "MemoryStats", CountingMemoryStats)
+        monkeypatch.setattr(stats_module, "Counter", CountingCounter)
+        stats = SimulationStats()
+        for address in range(5):
+            stats.record_memory_access("ram", 0, address)
+            stats.record_selector_case("decode", address % 2)
+            stats.memory("ram")
+        assert sorted(built) == ["cases", "memory"]
+        assert stats.memory("ram").reads == 5
+        assert stats.selector_case_usage["decode"] == {0: 3, 1: 2}

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.optimizer import CodegenOptions
 from repro.core.comparison import compare_all_backends, compare_backends
+from repro.core.trace import TraceOptions
 from repro.machines.library import all_machines, get_machine
 from repro.rtl import alu_ops
 from repro.rtl.builder import SpecBuilder
@@ -264,6 +266,92 @@ class TestInstrumentationParity:
             compare_stats=True,
         )
         assert comparison.equivalent, "\n".join(comparison.mismatches)
+
+
+def _upset_everything(name, value, cycle):
+    """Flip the low bit of every component, memories included, on a few
+    fixed cycles."""
+    return value ^ 1 if cycle in (3, 11, 42) else value
+
+
+_FULL_TRACE = TraceOptions.full()
+
+
+class TestCompiledKernelParity:
+    """The compiled stats kernel against the interpreter, per run shape.
+
+    The generated ``simulate_instrumented`` counts statistics inline and
+    branches on per-run flags (override, deadline, cycle trace, access
+    trace), so each configuration it distinguishes is compared on every
+    bundled machine with the exact comparison: a zero-count key is a
+    mismatch, and a zero-cycle run must leave the statistics empty.
+    """
+
+    #: long enough for the sieve to cross deadline checks (every
+    #: DEADLINE_CHECK_CYCLES cycles) under the non-expiring deadline
+    CYCLE_BUDGET = 600
+
+    #: run shape -> (CompiledBackend arguments, run arguments)
+    CONFIGS = {
+        "zero-cycles": ({}, dict(cycles=0)),
+        "stats": ({}, {}),
+        "trace-only": ({}, dict(collect_stats=False, trace=True)),
+        "access-trace-only": ({}, dict(collect_stats=False, trace=TraceOptions(
+            trace_cycles=False, trace_memory_accesses=True))),
+        "stats-and-trace": ({}, dict(trace=_FULL_TRACE)),
+        "unoptimized": (dict(options=CodegenOptions.unoptimized()),
+                        dict(trace=_FULL_TRACE)),
+        "specopt": (dict(specopt=True), dict(trace=_FULL_TRACE)),
+        "deadline": ({}, {}),
+        "override": ({}, dict(trace=_FULL_TRACE, override=_upset_everything)),
+    }
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize(
+        "machine_name", [entry.name for entry in all_machines()]
+    )
+    def test_kernel_matches_reference(self, machine_name, config):
+        import time
+
+        from repro.compiler.compiled import CompiledBackend
+        from repro.compiler.threaded import ThreadedBackend
+        from repro.core.comparison import compare_results
+        from repro.core.instrument import run_deadline
+        from repro.core.iosystem import QueueIO
+        from repro.core.stats import SimulationStats
+        from repro.errors import SimulationError
+        from repro.interp.interpreter import InterpreterBackend
+
+        compiled_args, run_args = self.CONFIGS[config]
+        entry = get_machine(machine_name)
+        spec = entry.build()
+        run_args = {"cycles": min(entry.demo_cycles, self.CYCLE_BUDGET),
+                    **run_args}
+        # specopt changes the schedule the statistics count; the threaded
+        # backend runs the same optimized schedule
+        reference = (ThreadedBackend(specopt=True, cache=False)
+                     if "specopt" in compiled_args else InterpreterBackend())
+        candidate = CompiledBackend(cache=False, **compiled_args)
+        results = []
+        for backend in (reference, candidate):
+            deadline = time.monotonic() + 600 if config == "deadline" else None
+            try:
+                with run_deadline(deadline):
+                    results.append(backend.prepare(spec).run(
+                        io=QueueIO((), strict=False), **run_args
+                    ))
+            except SimulationError as exc:
+                # an upset that breaks the machine must break it the same
+                # way, on the same cycle
+                results.append((type(exc), exc.cycle))
+        if isinstance(results[0], tuple):
+            assert results[1] == results[0], machine_name
+            return
+        mismatches = compare_results(*results, compare_trace=True,
+                                     compare_stats=True)
+        assert mismatches == [], f"{machine_name} [{config}]: {mismatches}"
+        if config == "zero-cycles":
+            assert results[1].stats == SimulationStats()
 
 
 class TestRandomStackPrograms:

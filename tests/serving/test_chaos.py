@@ -166,6 +166,26 @@ class TestDeadlines:
         assert elapsed < 2.0, f"deadline not cooperative: {elapsed:.2f}s"
         assert batch.timeouts == [item]
 
+    @pytest.mark.parametrize("collect_stats", [True, False],
+                             ids=["stats", "no-stats"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_deadline_interrupts_every_backend_without_override(
+        self, counter_spec, backend, collect_stats
+    ):
+        # no override ticks the check here: the interpreter and threaded
+        # backends count their own hook calls, the compiled kernel checks
+        # the clock every DEADLINE_CHECK_CYCLES cycles
+        with SimulationPool(counter_spec, backend=backend,
+                            executor="serial") as pool:
+            start = time.monotonic()
+            batch = pool.run_batch([RunRequest(
+                cycles=2_000_000, timeout_seconds=0.2,
+                collect_stats=collect_stats,
+            )])
+            elapsed = time.monotonic() - start
+        assert isinstance(batch.items[0].error, DeadlineExceededError)
+        assert elapsed < 2.0, f"deadline not cooperative: {elapsed:.2f}s"
+
     def test_deadline_alone_does_not_perturb_results(self, counter_spec):
         # a generous deadline forces the instrumented path; observables
         # must stay bit-identical to the undeadlined run
