@@ -2,8 +2,9 @@
 
 This example demonstrates the serving layer (:mod:`repro.serving`) on the
 bundled counter machine: a :class:`~repro.serving.pool.SimulationPool`
-pays the prepare phase once, fans a batch of run variants out over worker
-threads, and the asyncio front-end drives the same pool from async code.
+pays the prepare phase once and runs a batch of variants on that one
+prepared machine, and the asyncio front-end drives a pool from async
+code without blocking the event loop.
 It also shows the serving wins the ``BENCH_batch.json`` benchmark
 measures — the pooled batch against the naive prepare-per-request loop,
 and the process executor (``executor="process"``) that ships the lowered
@@ -30,7 +31,7 @@ def batch_demo() -> None:
     # --- a heterogeneous batch: five different cycle counts ----------------------
     runs = [RunRequest(cycles=cycles, tag=f"{cycles} cycles")
             for cycles in (5, 10, 20, 40, 80)]
-    with SimulationPool(spec, backend="threaded", max_workers=4) as pool:
+    with SimulationPool(spec, backend="threaded") as pool:
         batch = pool.run_batch(runs)
     print(batch.summary())
     for item in batch.items:
@@ -53,8 +54,8 @@ def throughput_demo() -> None:
         ThreadedBackend(cache=False).run(spec, cycles=256, collect_stats=False)
     naive = len(request) / (time.perf_counter() - start)
 
-    # the serving layer: one warm prepare, pooled fan-out
-    batch = run_batch(request, max_workers=4)
+    # the serving layer: one warm prepare, every run on it
+    batch = run_batch(request)
     print(f"naive prepare-per-request loop: {naive:8.1f} runs/sec")
     print(f"pooled batch (shared artifact): {batch.runs_per_second:8.1f} "
           f"runs/sec")
@@ -82,7 +83,7 @@ async def async_demo() -> None:
 
     spec = build_counter_spec(width_bits=4)
     request = BatchRequest.repeat(spec, 8, cycles=32)
-    batch = await async_run_batch(request, max_workers=4)
+    batch = await async_run_batch(request)
     print(f"async front-end: {batch.summary()}")
 
 

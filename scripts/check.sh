@@ -142,17 +142,20 @@ REPRO_CHAOS_SMOKE=1 python -m pytest tests/serving/test_chaos.py \
     -x -q -k smoke
 
 echo "== batch benchmark smoke (executor matrix + server overhead, schema only) =="
-# tiny sieve batch through every executor strategy plus the HTTP-vs-in-
-# process overhead rows; both write schema-checked trajectories to temp
-# paths, so the serving matrices cannot silently rot between full runs
+# tiny sieve batch through both executor strategies and a lane width,
+# plus the HTTP-vs-in-process overhead rows; both write schema-checked
+# trajectories to temp paths, so the serving matrices cannot silently
+# rot between full runs
 REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/test_batch_throughput.py \
     benchmarks/test_server_overhead.py -x -q
 
-echo "== lane smoke (serve-batch --executor lane --check on the sieve) =="
-# the lane executor must serve a real batch end-to-end through the CLI
-# and verify itself bit-identical against the sequential loop (--check),
-# both standalone and composed with the process pool — so the
-# vectorized path cannot silently rot between full test runs
+echo "== lane smoke (serve-batch --lane-width N --check on the sieve) =="
+# lane groups must serve a real batch end-to-end through the CLI and
+# verify themselves bit-identical against the sequential loop (--check),
+# inline on the serial strategy and inside process workers — so the
+# vectorized path cannot silently rot between full test runs; the
+# 'lane' and 'thread' executor aliases each serve one batch too, so the
+# accepted input names cannot rot either
 LANE_SPEC="$(mktemp --suffix=.spec)"
 python - "$LANE_SPEC" <<'LANESPEC'
 import sys
@@ -164,24 +167,30 @@ spec = getattr(machine, "spec", machine)
 with open(sys.argv[1], "w") as handle:
     handle.write(spec_to_text(spec))
 LANESPEC
-python -m repro serve-batch "$LANE_SPEC" --executor lane --check \
-    -c 1200 -n 8 -b compiled > /dev/null
+python -m repro serve-batch "$LANE_SPEC" --executor serial --lane-width 16 \
+    --check -c 1200 -n 8 -b compiled > /dev/null
 python -m repro serve-batch "$LANE_SPEC" --executor process --lane-width 4 \
     --check -c 1200 -n 8 -w 2 -b compiled > /dev/null
+python -m repro serve-batch "$LANE_SPEC" --executor lane --check \
+    -c 1200 -n 8 -b compiled > /dev/null
+python -m repro serve-batch "$LANE_SPEC" --executor thread --check \
+    -c 1200 -n 8 -b compiled > /dev/null
 rm -f "$LANE_SPEC"
 echo "lane smoke: batches served and verified bit-identical"
 
 echo "== lane fuzz smoke (fixed seed, lane executor only) =="
-# a seeded slice of the differential fuzzer pinned to the lane executor:
-# random machines (memories, selectors, specopt rewrites) through lane
-# groups, demanding bit-identity with the sequential reference
+# a seeded slice of the differential fuzzer pinned to the lane alias
+# (serial with lane groups): random machines (memories, selectors,
+# specopt rewrites) through lane groups, demanding bit-identity with the
+# sequential reference
 python -m repro fuzz --seed 11 --count 8 --executors lane
 
 echo "== differential fuzz smoke (fixed seed, full backend x executor matrix) =="
 # twenty seeded random machines, each JSON-round-tripped and run through
-# every backend x specopt x executor configuration demanding bit-identical
-# results — so neither the interchange format nor backend equivalence on
-# machines nobody wrote can silently rot between full fuzz sessions
+# every backend x specopt x executor configuration (serial, serial with
+# lanes, process) demanding bit-identical results — so neither the
+# interchange format nor backend equivalence on machines nobody wrote
+# can silently rot between full fuzz sessions
 python -m repro fuzz --seed 7 --count 20
 
 echo "== perfbench correctness smoke (sieve-stats, cold-specs) =="

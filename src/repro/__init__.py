@@ -15,13 +15,14 @@ The package is organised around the paper's two systems and their substrate:
 * :mod:`repro.synth` — hardware construction (netlist and parts list);
 * :mod:`repro.analysis` — fault injection, profiling and equivalence checks;
 * :mod:`repro.serving` — batch/parallel serving: one cached prepare
-  artifact fanned out over many concurrent runs on a pluggable execution
-  strategy — serial, thread, or a true multi-core process pool (the
+  artifact fanned out over many concurrent runs on one of two execution
+  strategies — serial (inline), or a true multi-core process pool (the
   lowered program ships to workers once; the persistent artifact cache
-  makes their cold start nearly free) — plus an asyncio front-end and
-  the long-lived HTTP server (``repro serve``): warm pools kept across
-  client requests behind a JSON API, with startup garbage collection of
-  the artifact cache (see ``docs/api-reference.md`` / ``docs/serving.md``).
+  makes their cold start nearly free), each with optional lane groups —
+  plus an asyncio front-end and the long-lived HTTP server (``repro
+  serve``): warm pools kept across client requests behind a JSON API,
+  with startup garbage collection of the artifact cache (see
+  ``docs/api-reference.md`` / ``docs/serving.md``).
 """
 
 # repro.core must initialise before repro.compiler: the comparison module

@@ -14,8 +14,9 @@ executable code".  This module provides the modern equivalent as
 * ``netlist``  — print the wiring list and bill of materials (Section 5.3);
 * ``serve-batch`` — fan N runs of one specification out over a worker pool
   (the serving layer, :mod:`repro.serving`) on a chosen execution strategy
-  (``--executor serial|thread|process|lane``), optionally checking the
-  batched results bit-identical against a sequential run;
+  (``--executor serial|process``, lane groups with ``--lane-width N``),
+  optionally checking the batched results bit-identical against a
+  sequential run;
 * ``serve``    — the long-lived simulation server: pools kept warm behind
   an HTTP JSON API (:mod:`repro.serving.server`; endpoints documented in
   ``docs/api-reference.md``), with startup garbage collection of the
@@ -48,7 +49,7 @@ from repro.core.simulator import BACKEND_NAMES, Simulator
 from repro.errors import AsimError
 from repro.machines.library import all_machines, get_machine
 from repro.rtl.parser import parse_spec_file
-from repro.serving.executor import EXECUTOR_NAMES
+from repro.serving.executor import EXECUTOR_CHOICES
 from repro.serving.tracing import TRACE_SINKS
 from repro.synth.report import hardware_report
 
@@ -178,16 +179,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "-w", "--workers", type=int, default=4,
-        help="workers in the pool (default: 4)",
+        help="worker processes for --executor process (default: 4)",
     )
     serve_parser.add_argument(
-        "--executor", choices=EXECUTOR_NAMES,
-        default="thread",
-        help="execution strategy: serial (inline), thread (GIL-bound "
-        "prepare amortisation), process (true multi-core; ships the "
-        "lowered program to worker processes once) or lane (N run "
-        "variants advanced together in one schedule walk) "
-        "(default: thread)",
+        "--executor", choices=EXECUTOR_CHOICES,
+        default="serial",
+        help="execution strategy: serial (inline) or process (true "
+        "multi-core; ships the lowered program to worker processes "
+        "once); thread and lane are aliases of serial, lane at "
+        "--lane-width or 16 (default: serial)",
     )
     serve_parser.add_argument(
         "--chunk-size", type=int, default=None,
@@ -196,8 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--lane-width", type=int, default=None, metavar="N",
-        help="runs per lane group for --executor lane, and for lanes "
-        "inside process workers (default: 16)",
+        help="runs per lane group (N >= 2 advances compatible runs "
+        "together in one schedule walk, inline or inside each process "
+        "worker; default: scalar, 16 for --executor lane)",
     )
     serve_parser.add_argument(
         "-c", "--cycles", type=int, default=None,
@@ -236,14 +237,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: threaded)",
     )
     server_parser.add_argument(
-        "--executor", choices=EXECUTOR_NAMES,
-        default="thread",
+        "--executor", choices=EXECUTOR_CHOICES,
+        default="serial",
         help="default execution strategy for requests that do not name one "
-        "(default: thread)",
+        "(default: serial)",
     )
     server_parser.add_argument(
         "-w", "--workers", type=int, default=None,
-        help="workers per pool (default: strategy-chosen)",
+        help="worker processes per process pool (default: one per core, "
+        "2-8; serial pools run inline)",
     )
     server_parser.add_argument(
         "--chunk-size", type=int, default=None,
@@ -251,8 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     server_parser.add_argument(
         "--lane-width", type=int, default=None, metavar="N",
-        help="default lane group size for lane-executor pools; requests "
-        "may override per call with 'lane_width' (default: 16)",
+        help="default lane group size for every pool (N >= 2 lane-groups "
+        "compatible runs); requests may override per call with "
+        "'lane_width' (default: scalar, 16 for 'lane' requests)",
     )
     server_parser.add_argument(
         "--cache-max-bytes", type=parse_size, default="256m",
@@ -273,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     server_parser.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
         help="admission gate: simulation requests executing concurrently "
-        "before new ones queue (default: unbounded)",
+        "(on serial pools, each inline on its connection's thread) before "
+        "new ones queue (default: unbounded)",
     )
     server_parser.add_argument(
         "--max-queue", type=int, default=16, metavar="N",
@@ -354,13 +358,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default backend forwarded to every child (default: threaded)",
     )
     fleet_parser.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default="thread",
+        "--executor", choices=EXECUTOR_CHOICES, default="serial",
         help="default execution strategy forwarded to every child "
-        "(default: thread)",
+        "(default: serial)",
     )
     fleet_parser.add_argument(
         "-w", "--workers", type=int, default=None,
-        help="workers per pool, per child (default: strategy-chosen)",
+        help="worker processes per process pool, per child (default: one "
+        "per core, 2-8)",
     )
     fleet_parser.add_argument(
         "--chunk-size", type=int, default=None,
@@ -521,11 +526,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(the committed corpus lives in tests/fuzz/corpus)",
     )
     fuzz_parser.add_argument(
-        "--executors", default=",".join(EXECUTOR_NAMES),
-        metavar="LIST",
-        help="comma-separated executor strategies for the pooled phase, "
-        "empty for sequential-only "
-        "(default: serial,thread,process,lane)",
+        "--executors", default=None, metavar="LIST",
+        help="comma-separated executor names for the pooled phase, "
+        "empty for sequential-only (default: serial,lane,process — "
+        "serial, serial with lanes, and process)",
     )
 
     return parser
@@ -610,7 +614,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
                       executor=args.executor, chunk_size=args.chunk_size,
                       lane_width=args.lane_width)
     print(f"{args.spec.name}: {args.runs} runs on {args.backend} "
-          f"({args.workers} workers, {args.executor} executor)")
+          f"({batch.pool_size} workers, {batch.executor} executor)")
     print(batch.summary())
     for worker, rate in sorted(batch.per_worker_runs_per_second.items()):
         print(f"  {worker}: {batch.runs_by_worker[worker]} runs, "
@@ -833,15 +837,15 @@ def _command_spec(args: argparse.Namespace) -> int:
 
 
 def _command_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import GeneratorConfig, run_fuzz_session
+    from repro.fuzz import FUZZ_EXECUTORS, GeneratorConfig, run_fuzz_session
 
-    executors = tuple(
+    executors = FUZZ_EXECUTORS if args.executors is None else tuple(
         name for name in args.executors.split(",") if name
     )
-    unknown = [name for name in executors if name not in EXECUTOR_NAMES]
+    unknown = [name for name in executors if name not in EXECUTOR_CHOICES]
     if unknown:
         print(f"error: unknown executor(s) {', '.join(unknown)} "
-              f"(choose from {', '.join(EXECUTOR_NAMES)})", file=sys.stderr)
+              f"(choose from {', '.join(EXECUTOR_CHOICES)})", file=sys.stderr)
         return 2
     report = run_fuzz_session(
         args.seed, args.count,

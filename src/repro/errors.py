@@ -168,8 +168,8 @@ class DeadlineExceededError(SimulationError, TimeoutError):
     """A run exceeded its ``timeout_seconds`` deadline.
 
     Raised cooperatively by the instrumentation layer between component
-    evaluations (serial/thread executors, and inside process-pool
-    workers), or by the process executor's wall-clock backstop when a
+    evaluations (in-process on the serial executor, and inside
+    process-pool workers), or by the process executor's wall-clock backstop when a
     worker stops responding entirely.  Inherits :class:`TimeoutError` so
     generic ``except TimeoutError`` handling works, and
     :class:`SimulationError` so it is reported per item like any other

@@ -11,8 +11,8 @@ session (:func:`run_fuzz_session`) draws seeded random specifications from
    survive unchanged;
 2. **runs the differential matrix** (:mod:`repro.fuzz.differential`):
    every backend × specopt on/off, sequentially and through
-   :class:`~repro.serving.SimulationPool` on every executor strategy,
-   asserting bit-identical results, traces and statistics;
+   :class:`~repro.serving.SimulationPool` on serial, serial with lanes
+   and process, asserting bit-identical results, traces and statistics;
 3. on a mismatch, **shrinks** the machine (:mod:`repro.fuzz.shrink`) to a
    1-minimal reproducer and **persists** it (:mod:`repro.fuzz.corpus`) so
    it becomes a regression test.
@@ -38,6 +38,7 @@ from repro.fuzz.corpus import (
     save_case,
 )
 from repro.fuzz.differential import (
+    FUZZ_EXECUTORS,
     DifferentialFailure,
     DifferentialReport,
     ir_fingerprint,
@@ -51,11 +52,11 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.shrink import ShrinkResult, shrink_case
 from repro.rtl.interchange import spec_from_json, spec_to_json
-from repro.serving.executor import EXECUTOR_NAMES
 
 __all__ = [
     "DifferentialFailure",
     "DifferentialReport",
+    "FUZZ_EXECUTORS",
     "FuzzCase",
     "FuzzCaseResult",
     "FuzzSessionReport",
@@ -149,7 +150,7 @@ def run_fuzz_session(
     seed: int,
     count: int,
     config: GeneratorConfig | None = None,
-    executors: Sequence[str] = EXECUTOR_NAMES,
+    executors: Sequence[str] = FUZZ_EXECUTORS,
     shrink: bool = True,
     corpus_dir: Path | str | None = None,
     differential: Callable[..., DifferentialReport] = run_differential,

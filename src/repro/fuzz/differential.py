@@ -14,15 +14,16 @@ thousands of generated machines:
   specopt'd interpreter, which executes the same optimized schedule).
 * **executor phase** — every backend × specopt configuration again, but
   through a :class:`~repro.serving.SimulationPool` on each executor
-  strategy (serial / thread / process / lane).  Each pooled run must be
-  bit-identical — results, traces *and statistics* — to the sequential
-  run of the same configuration.  Lane groups run untraced by design
-  (tracing falls back to the scalar path), so the lane configurations
-  drop tracing from the request and skip trace comparison; statistics
-  are trace-independent, which keeps the traced sequential run a valid
-  reference.  A stats-off pair rides along to exercise the compiled
-  backend's generated ``simulate_lanes`` entry point (stats-on groups
-  route through the generic lane evaluator).
+  configuration (by default :data:`FUZZ_EXECUTORS`: serial, serial with
+  lanes, process).  Each pooled run must be bit-identical — results,
+  traces *and statistics* — to the sequential run of the same
+  configuration.  Lane groups run untraced by design (tracing falls back
+  to the scalar path), so a configuration whose executor name resolves
+  to a lane width drops tracing from the request and skips trace
+  comparison; statistics are trace-independent, which keeps the traced
+  sequential run a valid reference.  A stats-off pair rides along to
+  exercise the compiled backend's generated ``simulate_lanes`` entry
+  point (stats-on groups route through the generic lane evaluator).
 
 A failure is a :class:`DifferentialFailure` naming the configuration and
 the mismatches; :class:`DifferentialReport` aggregates them per spec.  A
@@ -58,11 +59,15 @@ from repro.rtl.parser import parse_spec
 from repro.rtl.spec import Specification
 from repro.rtl.writer import spec_to_text
 from repro.serving.batch import RunRequest
-from repro.serving.executor import EXECUTOR_NAMES
+from repro.serving.executor import resolve_executor
 from repro.serving.pool import SimulationPool
 
 #: Reference configuration label (interpreter, no spec-level optimization).
 REFERENCE_CONFIG = "interpreter"
+
+#: Default executor configurations of the pooled phase: serial, serial
+#: with lane groups (the ``lane`` alias) and process.
+FUZZ_EXECUTORS = ("serial", "lane", "process")
 
 
 def backend_matrix() -> list[tuple[str, bool, "type[Backend]"]]:
@@ -157,7 +162,7 @@ def run_differential(
     spec: Specification,
     cycles: int,
     inputs: Sequence[int] = (),
-    executors: Sequence[str] = EXECUTOR_NAMES,
+    executors: Sequence[str] = FUZZ_EXECUTORS,
     pool_workers: int = 2,
     runs_per_pool: int = 2,
     matrix: "Sequence[tuple[str, bool, type[Backend]]] | None" = None,
@@ -247,7 +252,8 @@ def run_differential(
         collect_stats=True,
     )
     for executor in executors:
-        if executor == "lane":
+        lanes = resolve_executor(executor)[1] is not None
+        if lanes:
             # untraced lane-eligible requests; the stats-off pair drives
             # the compiled backend's generated lane entry point
             requests = (
@@ -288,7 +294,7 @@ def run_differential(
                     continue
                 mismatches = compare_results(
                     expected, item.result,
-                    compare_trace=(executor != "lane"),
+                    compare_trace=not lanes,
                     compare_stats=item.request.collect_stats,
                 )
                 if mismatches:

@@ -16,20 +16,20 @@ Four pieces implement that:
   with per-run outcomes, per-item error capture, and throughput aggregates
   down to per-worker runs/sec and queue-wait statistics;
 * :class:`~repro.serving.executor.ExecutorStrategy`
-  (:mod:`repro.serving.executor`) — the execution strategies: ``serial``
-  (inline baseline), ``thread`` (GIL-bound prepare amortisation),
-  ``process`` (true multi-core: the lowered program is pickled to worker
-  processes once at pool startup, requests travel in chunks, and the
-  persistent artifact cache makes worker cold starts nearly free) and
-  ``lane`` (:mod:`repro.lowering.lanes`: N compatible run variants
-  advanced together through one walk of the dependency-scheduled step
-  list, amortising per-run dispatch overhead; composes with ``process``
-  — lanes within each worker, chunks across workers);
+  (:mod:`repro.serving.executor`) — the two execution strategies:
+  ``serial`` (inline on the caller's thread) and ``process`` (true
+  multi-core: the lowered program is pickled to worker processes once at
+  pool startup, requests travel in chunks, and the persistent artifact
+  cache makes worker cold starts nearly free).  ``lane_width`` N >= 2
+  turns on lane groups on either (:mod:`repro.lowering.lanes`: N
+  compatible run variants advanced together through one walk of the
+  dependency-scheduled step list, amortising per-run dispatch overhead —
+  lanes within each worker, chunks across workers); the input names
+  ``thread`` and ``lane`` remain accepted as aliases of ``serial``;
 * :class:`~repro.serving.pool.SimulationPool` (:mod:`repro.serving.pool`)
-  — the pool over a chosen strategy, with backend-aware dispatch: the
-  cache-backed threaded and compiled backends share one cached prepare
-  artifact and bind it per worker, the interpreter shares its single warm
-  prepared program across the whole pool;
+  — the pool over a chosen strategy; every in-process run shares the
+  pool's single warm prepared simulation (prepared simulations are
+  re-entrant);
 * :func:`~repro.serving.aio.async_run_batch` (:mod:`repro.serving.aio`)
   — the asyncio front-end wrapping the pool for async callers;
 * :class:`~repro.serving.server.SimulationServer`
@@ -78,10 +78,10 @@ per-span-kind latency histograms in Prometheus text format, aggregated
 with per-node labels at the router.
 
 The CLI exposes the layer as ``repro serve-batch --executor {serial,
-thread,process,lane}`` (one-shot) and ``repro serve`` (the long-lived
+process} --lane-width N`` (one-shot) and ``repro serve`` (the long-lived
 server); the throughput benchmark
 (``benchmarks/test_batch_throughput.py``) writes ``BENCH_batch.json``
-(schema v3, with the executor and lane-width dimensions) from it, and
+(schema v4, with the executor and lane-width dimensions) from it, and
 the equivalence tests prove batched results bit-identical to sequential
 ones on every backend and every strategy — including over HTTP
 (``tests/serving/test_server.py``).
@@ -92,13 +92,12 @@ from repro.serving.batch import BatchItem, BatchRequest, BatchResult, RunRequest
 from repro.serving.executor import (
     EXECUTOR_NAMES,
     ExecutorStrategy,
-    LaneExecutor,
     ProcessExecutor,
     RunOutcome,
     SerialExecutor,
-    ThreadExecutor,
     WorkerContext,
     lane_compatible,
+    resolve_executor,
 )
 from repro.serving.fleet import Backoff, FlapGuard, FleetSupervisor
 from repro.serving.pool import SimulationPool, run_batch
@@ -126,7 +125,6 @@ __all__ = [
     "FleetRouter",
     "FleetSupervisor",
     "JsonlExporter",
-    "LaneExecutor",
     "PROTOCOL_VERSION",
     "ProcessExecutor",
     "ProtocolError",
@@ -139,7 +137,6 @@ __all__ = [
     "SimulationServer",
     "Span",
     "SqliteExporter",
-    "ThreadExecutor",
     "TraceRecorder",
     "WorkerContext",
     "async_run",
@@ -148,5 +145,6 @@ __all__ = [
     "error_kind",
     "lane_compatible",
     "rank_nodes",
+    "resolve_executor",
     "run_batch",
 ]

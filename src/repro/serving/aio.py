@@ -2,84 +2,50 @@
 
 Async callers (a web handler serving simulation requests, a notebook
 driving many experiments) should not block their event loop on a batch.
-:func:`async_run_batch` submits every run through the pool's execution
-strategy and awaits the wrapped futures, so the loop stays responsive
-while workers simulate; :func:`async_run` is the single-request form.
+:func:`async_run_batch` runs the pool's public ``run_batch`` on a thread
+(``asyncio.to_thread``) and awaits it, so the loop stays responsive while
+the batch simulates — on every strategy, including ``serial``, which
+executes on whichever thread calls it; :func:`async_run` is the
+single-request form over ``run``.
 
-The pool semantics are unchanged — one warm prepare, per-worker program
-binding, per-item error capture — only the waiting is asynchronous.  That
-holds for the thread and process strategies, whose futures resolve off
-the loop; the ``serial`` and ``lane`` strategies execute inline *at
-submission* by design (serial is the debugging baseline, lane runs its
-groups on the submitting thread), so driving either from async code
-blocks the loop for the duration of the batch — prefer ``thread`` or
-``process`` (which composes with lanes via ``lane_width``) in an
-event-loop context.
+The pool semantics are unchanged — one warm prepare, per-item error
+capture, the same :class:`~repro.serving.batch.BatchResult` — only the
+waiting is asynchronous.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 from repro.core.results import SimulationResult
 from repro.serving.batch import BatchRequest, BatchResult, RunRequest
-from repro.serving.executor import RunOutcome
-from repro.serving.pool import SimulationPool, batch_items
+from repro.serving.pool import SimulationPool, run_batch
 
 
 async def async_run(pool: SimulationPool, request: RunRequest) -> SimulationResult:
     """Await one run on *pool* without blocking the event loop."""
-    outcome: RunOutcome = await asyncio.wrap_future(
-        pool._submit_many([request])[0]
-    )
-    if outcome.error is not None:
-        raise outcome.error
-    return outcome.result
+    return await asyncio.to_thread(pool.run, request)
 
 
 async def async_run_batch(
     request: BatchRequest,
     max_workers: int | None = None,
     pool: SimulationPool | None = None,
-    executor: str = "thread",
+    executor: str = "serial",
     chunk_size: int | None = None,
     lane_width: int | None = None,
 ) -> BatchResult:
     """Run a batch from async code; returns the same :class:`BatchResult`.
 
-    With ``pool=None`` a pool is built for the request's spec, backend and
-    *executor* strategy and closed afterwards; pass an open pool to
-    amortise it across batches (the request's spec must then match the
-    pool's, and the pool's own strategy wins).
+    With ``pool=None`` a pool is built (off the loop, warm prepare
+    included) for the request's spec, backend and *executor* strategy and
+    closed afterwards; pass an open pool to amortise it across batches
+    (the request's spec must then match the pool's, and the pool's own
+    strategy wins).
     """
-    owns_pool = pool is None
-    if pool is None:
-        pool = SimulationPool(
-            request.spec,
-            backend=request.backend,
-            max_workers=max_workers,
-            executor=executor,
-            chunk_size=chunk_size,
-            lane_width=lane_width,
-        )
-    try:
-        requests = pool._coerce_runs(request)
-        start = time.perf_counter()
-        futures = [
-            asyncio.wrap_future(future)
-            for future in pool._submit_many(requests)
-        ]
-        outcomes = await asyncio.gather(*futures, return_exceptions=True)
-        wall_seconds = time.perf_counter() - start
-        return BatchResult(
-            backend=pool.backend_name,
-            pool_size=pool.max_workers,
-            items=batch_items(requests, outcomes),
-            wall_seconds=wall_seconds,
-            prepare_seconds=pool.prepare_seconds,
-            executor=pool.executor_name,
-        )
-    finally:
-        if owns_pool:
-            pool.close()
+    if pool is not None:
+        return await asyncio.to_thread(pool.run_batch, request)
+    return await asyncio.to_thread(
+        run_batch, request, max_workers=max_workers, executor=executor,
+        chunk_size=chunk_size, lane_width=lane_width,
+    )

@@ -5,7 +5,7 @@ observe that behavior stays well-defined; this module applies the same
 idea to the serving stack itself.  Each shim is a picklable, module-level
 callable usable as a :class:`RunRequest` ``override`` hook — the one
 per-cycle call site every backend shares — so the same fault travels
-unchanged through the serial, thread and process executors (including a
+unchanged through the serial and process executors (including a
 fork/spawn pickle round-trip into pool workers, which classes defined in
 a test module would not survive).
 
@@ -71,8 +71,8 @@ class KillWorker:
     """An override hook that kills the executing process.
 
     ``spare_pid`` guards the caller: the shim refuses to kill the process
-    it was constructed in (construct it in the test/parent process), so a
-    serial or thread executor running the same request raises a normal,
+    it was constructed in (construct it in the test/parent process), so
+    the serial executor running the same request raises a normal,
     per-item-capturable error instead of taking the suite down.
     ``after_cycle`` delays the kill so a few cycles complete first,
     placing the death mid-run rather than at cycle zero.
@@ -112,8 +112,8 @@ class HangOverride:
     """An override hook that blocks hard: one uninterruptible
     ``sleep_seconds`` sleep on its first call, simulating a run stuck
     inside a single blocking operation.  Only the process executor's
-    wall-clock backstop can bound this — never run it on the serial or
-    thread executor without a plan for the stuck thread.
+    wall-clock backstop can bound this — never run it on the serial
+    executor without a plan for the stuck thread.
 
     The sleep fires once per process (the flag resets with the pickle
     round-trip into a worker): after it returns, the run proceeds at

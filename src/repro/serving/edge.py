@@ -147,6 +147,11 @@ class _EdgeHandler(BaseHTTPRequestHandler):
         handler_name = routes.get(route)
         headers: dict[str, str] = {}
         tb: TraceBuilder | None = None
+        if "Transfer-Encoding" in self.headers:
+            # the edge reads only Content-Length bodies: whatever an
+            # encoded (e.g. chunked) body leaves in the socket would be
+            # parsed as the next request, so this connection ends here
+            self.close_connection = True
         try:
             if handler_name is None or self.command != "POST":
                 self._discard_body(app.max_body_bytes)

@@ -1,15 +1,14 @@
-"""Execution strategies for the serving pool: serial, thread, process, lane.
+"""Execution strategies for the serving pool: serial and process.
 
-:class:`~repro.serving.pool.SimulationPool` used to be welded to one
-``ThreadPoolExecutor``; this module extracts the scheduling decision into
-an :class:`ExecutorStrategy` with four implementations:
+:class:`~repro.serving.pool.SimulationPool` delegates the scheduling
+decision to an :class:`ExecutorStrategy`; there are two:
 
 * **serial** — every run executes inline on the caller's thread, in
-  submission order.  The baseline and the debugging strategy: no
-  concurrency, no queueing, deterministic scheduling.
-* **thread** — the classic pool: worker threads interleave on the GIL, so
-  the win is prepare amortisation (one cached artifact, many runs), not
-  CPU parallelism.  Right for I/O-bound hooks and modest batches.
+  submission order: no worker threads, no queueing, deterministic
+  scheduling.  Concurrency comes from the callers themselves — the HTTP
+  server runs each connection on its own thread, bounded by its
+  admission gate — and every caller shares the pool's one warm prepared
+  simulation (prepared simulations are re-entrant).
 * **process** — true multi-core serving.  Worker processes are started
   once per pool; each receives the parent's :class:`WorkerContext` — the
   specification plus the already-lowered, picklable
@@ -21,16 +20,22 @@ an :class:`ExecutorStrategy` with four implementations:
   lowering and code generation entirely.  Requests travel to workers in
   chunks (``chunk_size``) to amortise IPC; results come back as picklable
   :class:`RunOutcome` values with per-item error capture.
-* **lane** — lane-vectorized batching (:mod:`repro.lowering.lanes`):
-  compatible requests — same cycle count, same instrumentation profile,
-  no trace/override/deadline — are grouped into lane groups of up to
-  ``lane_width`` and the whole group executes in **one walk** of the
-  per-cycle schedule, amortising every per-run cost (plan construction,
-  dispatch, result plumbing).  Incompatible requests fall back to scalar
-  execution inside the same chunk, and a lane whose run raises yields a
-  per-item error without touching its neighbours.  Lanes compose with
-  the process strategy (``ProcessExecutor(lane_width=...)``): chunks
-  fan out across worker processes, lanes batch within each worker.
+
+``lane_width`` means the same on both: ``None`` (or 1) runs every request
+scalar, and N >= 2 turns on lane-vectorized batching
+(:mod:`repro.lowering.lanes`).  Compatible requests — same cycle count,
+same instrumentation profile, no trace/override/deadline — are grouped
+into lane groups of up to N and the whole group executes in **one walk**
+of the per-cycle schedule, amortising every per-run cost (plan
+construction, dispatch, result plumbing).  Incompatible requests run
+scalar inside the same chunk, and a lane whose run raises yields a
+per-item error without touching its neighbours.  One chunk runner
+(:func:`run_chunk`) does this for both strategies: inline for serial,
+inside each worker for process (chunks across workers, lanes within).
+
+The input names ``thread`` and ``lane`` are still accepted (on the
+wire, in the CLI and by the pool) and mapped onto a strategy and width by
+:func:`resolve_executor`; nothing after it sees them.
 
 Every strategy resolves one submitted request to one future of a
 :class:`RunOutcome` — result or error, worker label, busy seconds and
@@ -46,17 +51,12 @@ import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    Future,
-    InvalidStateError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.compiler.cache import (
     DiskCache,
@@ -70,17 +70,44 @@ from repro.core.backend import Backend, PreparedSimulation, resolve_trace
 from repro.core.instrument import run_deadline
 from repro.core.results import SimulationResult
 from repro.errors import DeadlineExceededError, ServingError, WorkerCrashError
-from repro.lowering.lanes import DEFAULT_LANE_WIDTH, LaneOutcome
+from repro.lowering.lanes import DEFAULT_LANE_WIDTH
 from repro.lowering.program import CycleProgram
 from repro.rtl.spec import Specification
 from repro.serving.batch import RunRequest
 from repro.serving.tracing import Span
 
 #: Registered execution strategies, in cost order.
-EXECUTOR_NAMES = ("serial", "thread", "process", "lane")
+EXECUTOR_NAMES = ("serial", "process")
 
-#: How a strategy runs one request: returns (result, busy seconds).
-ExecuteFn = Callable[[RunRequest], "tuple[SimulationResult, float]"]
+#: Input names kept for compatibility: each runs the serial strategy, at
+#: this lane width when the caller gave none (``None`` keeps the width).
+EXECUTOR_ALIASES = {"thread": None, "lane": DEFAULT_LANE_WIDTH}
+
+#: Every name :func:`resolve_executor` accepts.
+EXECUTOR_CHOICES = EXECUTOR_NAMES + tuple(EXECUTOR_ALIASES)
+
+
+def resolve_executor(
+    name: str, lane_width: int | None = None
+) -> tuple[str, int | None]:
+    """Map an accepted executor name onto ``(strategy, lane width)``.
+
+    The returned width is ``None`` for scalar execution (a width of 1
+    groups nothing) and N >= 2 for lane groups of up to N.  Raises
+    :class:`~repro.errors.ServingError` for a name that is neither a
+    strategy nor an alias.
+    """
+    if name in EXECUTOR_ALIASES:
+        if lane_width is None:
+            lane_width = EXECUTOR_ALIASES[name]
+        name = "serial"
+    elif name not in EXECUTOR_NAMES:
+        raise ServingError(
+            f"unknown executor '{name}'; expected one of {EXECUTOR_CHOICES}"
+        )
+    return name, (lane_width if lane_width is not None and lane_width > 1
+                  else None)
+
 
 #: Worker crashes a single request may cause before it is quarantined.
 MAX_CRASHES_PER_REQUEST = 2
@@ -148,8 +175,25 @@ def _error_span(start: float, duration: float, worker: str,
     return Span("error", start, duration, None, worker, None, detail)
 
 
+def _run_scalar(
+    prepared: PreparedSimulation, request: RunRequest
+) -> tuple[SimulationResult, float]:
+    """Run one request on *prepared*: (result, busy seconds)."""
+    start = time.perf_counter()
+    request.check_supported(prepared)
+    result = prepared.run(
+        cycles=request.cycles,
+        io=request.make_io(),
+        trace=request.trace,
+        collect_stats=request.collect_stats,
+        override=request.override,
+    )
+    return result, time.perf_counter() - start
+
+
 def execute_outcome(
-    execute: ExecuteFn, request: RunRequest, submitted: float, worker: str
+    prepared: PreparedSimulation, request: RunRequest, submitted: float,
+    worker: str,
 ) -> RunOutcome:
     """Run one request, capturing any ``Exception`` into the outcome.
 
@@ -158,9 +202,9 @@ def execute_outcome(
     shed without executing, and an executing run is scoped under
     :func:`~repro.core.instrument.run_deadline` so the instrumentation
     hooks interrupt it cooperatively.  This one code path covers the
-    serial and thread executors in-process and the process executor
-    inside its workers (``submitted`` is system-wide monotonic time, so
-    the budget survives the process boundary).
+    serial executor in-process and the process executor inside its
+    workers (``submitted`` is system-wide monotonic time, so the budget
+    survives the process boundary).
 
     ``BaseException`` (KeyboardInterrupt and friends) propagates — the
     batch machinery re-raises it rather than recording it per item.
@@ -184,10 +228,10 @@ def execute_outcome(
         deadline = entered + remaining
     try:
         if deadline is None:
-            result, seconds = execute(request)
+            result, seconds = _run_scalar(prepared, request)
         else:
             with run_deadline(deadline):
-                result, seconds = execute(request)
+                result, seconds = _run_scalar(prepared, request)
     except Exception as exc:  # noqa: BLE001 - rerouted per item
         return RunOutcome(
             result=None, error=exc, seconds=0.0,
@@ -223,8 +267,10 @@ class ExecutorStrategy(ABC):
     #: strategy name as accepted by ``SimulationPool(executor=...)``
     name: str = "strategy"
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, lane_width: int | None = None) -> None:
         self.workers = workers
+        #: lane group size (``None`` = scalar; see :func:`run_chunk`)
+        self.lane_width = lane_width
 
     @abstractmethod
     def submit_chunk(
@@ -235,20 +281,6 @@ class ExecutorStrategy(ABC):
     def default_chunk_size(self, count: int) -> int:
         """Requests per chunk when the caller did not choose one."""
         return 1
-
-    def execute_many(
-        self, requests: Sequence[RunRequest], chunk_size: int | None = None
-    ) -> "list[RunOutcome] | None":
-        """Outcomes for every request, produced inline — or ``None``.
-
-        The lane strategy overrides this so a synchronous batch skips the
-        per-item ``Future`` plumbing of :meth:`submit_many` entirely —
-        per-run scheduling overhead is precisely what lanes amortise.
-        Every other strategy (including serial, the baseline that runs
-        the standard pipeline) returns ``None`` and the pool uses
-        futures.
-        """
-        return None
 
     def counters(self) -> dict[str, int]:
         """Cumulative resilience counters (see :data:`ZERO_COUNTERS`)."""
@@ -283,62 +315,48 @@ class ExecutorStrategy(ABC):
 
 
 class SerialExecutor(ExecutorStrategy):
-    """Inline execution on the caller's thread, in submission order."""
+    """Inline execution on the caller's thread, in submission order.
+
+    Every caller runs on the one *prepared* simulation.
+    """
 
     name = "serial"
 
-    def __init__(self, execute: ExecuteFn) -> None:
-        super().__init__(workers=1)
-        self._execute = execute
+    def __init__(self, prepared: PreparedSimulation,
+                 lane_width: int | None = None) -> None:
+        super().__init__(workers=1, lane_width=lane_width)
+        self._prepared = prepared
+
+    def _run(self, requests) -> "list[RunOutcome]":
+        return run_chunk(self._prepared, list(requests), time.monotonic(),
+                         "serial-0", self.lane_width)
 
     def submit_chunk(self, requests):
-        submitted = time.monotonic()
         future: Future = Future()
-        future.set_result([
-            execute_outcome(self._execute, request, submitted, "serial-0")
-            for request in requests
-        ])
+        future.set_result(self._run(requests))
         return future
+
+    def execute_many(
+        self, requests: Sequence[RunRequest], chunk_size: int | None = None
+    ) -> "list[RunOutcome]":
+        """Outcomes for every request, produced inline without the
+        per-item ``Future`` plumbing of :meth:`submit_many` — per-run
+        scheduling overhead is precisely what lanes amortise.  The whole
+        batch is one chunk by default, so grouping sees all of it."""
+        requests = list(requests)
+        size = chunk_size or max(1, len(requests))
+        outcomes: "list[RunOutcome]" = []
+        for start in range(0, len(requests), size):
+            outcomes.extend(self._run(requests[start:start + size]))
+        return outcomes
 
     def close(self, wait: bool = True) -> None:
         pass
 
 
-class ThreadExecutor(ExecutorStrategy):
-    """The classic GIL-bound worker-thread pool (prepare amortisation)."""
-
-    name = "thread"
-
-    def __init__(self, execute: ExecuteFn, workers: int,
-                 thread_name_prefix: str = "repro") -> None:
-        super().__init__(workers=workers)
-        self._execute = execute
-        self._threads = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=thread_name_prefix
-        )
-
-    def submit_chunk(self, requests):
-        return self._threads.submit(
-            self._run_chunk, list(requests), time.monotonic()
-        )
-
-    def _run_chunk(self, requests, submitted):
-        worker = threading.current_thread().name
-        return [
-            execute_outcome(self._execute, request, submitted, worker)
-            for request in requests
-        ]
-
-    def close(self, wait: bool = True) -> None:
-        self._threads.shutdown(wait=wait)
-
-
 # ---------------------------------------------------------------------------
-# The lane strategy: vectorized grouping of compatible requests
+# Chunk execution: lane grouping of compatible requests, scalar otherwise
 # ---------------------------------------------------------------------------
-
-#: How a strategy runs one lane group: one LaneOutcome per request, in order.
-LaneExecuteFn = Callable[["list[RunRequest]"], "list[LaneOutcome]"]
 
 
 def lane_compatible(request: RunRequest, spec: Specification) -> bool:
@@ -357,24 +375,8 @@ def lane_compatible(request: RunRequest, spec: Specification) -> bool:
     return not (options.trace_cycles or options.trace_memory_accesses)
 
 
-def prepared_lane_outcomes(
-    prepared: PreparedSimulation, requests: "list[RunRequest]"
-) -> "list[LaneOutcome]":
-    """Run one compatible lane group on *prepared* (shared profile)."""
-    for request in requests:
-        request.check_supported(prepared)
-    ios = [request.make_io() for request in requests]
-    return prepared.run_lanes(
-        cycles=requests[0].cycles,
-        ios=ios,
-        collect_stats=requests[0].collect_stats,
-    )
-
-
 def execute_lane_chunk(
-    lane_execute: LaneExecuteFn,
-    execute: ExecuteFn,
-    spec: Specification,
+    prepared: PreparedSimulation,
     requests: "list[RunRequest]",
     submitted: float,
     worker: str,
@@ -399,7 +401,7 @@ def execute_lane_chunk(
         if key is False:
             key = (
                 (request.cycles, request.collect_stats)
-                if lane_compatible(request, spec) else None
+                if lane_compatible(request, prepared.spec) else None
             )
             decisions[ident] = key
         if key is not None:
@@ -420,7 +422,13 @@ def execute_lane_chunk(
                             worker, None, f"lanes={lane_count}")
 
             try:
-                lane_outcomes = lane_execute(lane_requests)
+                for request in lane_requests:
+                    request.check_supported(prepared)
+                lane_outcomes = prepared.run_lanes(
+                    cycles=lane_requests[0].cycles,
+                    ios=[request.make_io() for request in lane_requests],
+                    collect_stats=lane_requests[0].collect_stats,
+                )
             except Exception as exc:  # noqa: BLE001 - mirrored per item
                 group_seconds = time.monotonic() - begin_mono
                 for i in lane_indices:
@@ -459,65 +467,28 @@ def execute_lane_chunk(
     for index, request in enumerate(requests):
         if outcomes[index] is None:
             outcomes[index] = execute_outcome(
-                execute, request, submitted, worker
+                prepared, request, submitted, worker
             )
     return outcomes  # type: ignore[return-value]
 
 
-class LaneExecutor(ExecutorStrategy):
-    """Lane-vectorized inline execution (see :mod:`repro.lowering.lanes`).
-
-    Like the serial strategy, execution happens on the caller's thread at
-    submission; the win is vectorization, not concurrency — every group
-    of up to ``lane_width`` compatible requests costs one schedule walk
-    instead of N.  The whole batch travels as a single chunk by default
-    so grouping sees every request at once.
-    """
-
-    name = "lane"
-
-    def __init__(
-        self,
-        lane_execute: LaneExecuteFn,
-        execute: ExecuteFn,
-        spec: Specification,
-        lane_width: int | None = None,
-    ) -> None:
-        super().__init__(workers=1)
-        self._lane_execute = lane_execute
-        self._execute = execute
-        self._spec = spec
-        self.lane_width = lane_width or DEFAULT_LANE_WIDTH
-
-    def default_chunk_size(self, count: int) -> int:
-        # one chunk for the whole batch: grouping works across all of it
-        return max(1, count)
-
-    def submit_chunk(self, requests):
-        future: Future = Future()
-        future.set_result(self.execute_many(requests))
-        return future
-
-    def execute_many(self, requests, chunk_size=None):
-        requests = list(requests)
-        if chunk_size is None or chunk_size >= len(requests):
-            return execute_lane_chunk(
-                self._lane_execute, self._execute, self._spec, requests,
-                time.monotonic(), "lane-0", self.lane_width,
-            )
-        # an explicit chunk size bounds how many requests one grouping
-        # pass sees, exactly as on the future path
-        outcomes: "list[RunOutcome]" = []
-        for start in range(0, len(requests), chunk_size):
-            outcomes.extend(execute_lane_chunk(
-                self._lane_execute, self._execute, self._spec,
-                requests[start:start + chunk_size],
-                time.monotonic(), "lane-0", self.lane_width,
-            ))
-        return outcomes
-
-    def close(self, wait: bool = True) -> None:
-        pass
+def run_chunk(
+    prepared: PreparedSimulation,
+    requests: "list[RunRequest]",
+    submitted: float,
+    worker: str,
+    lane_width: int | None,
+) -> "list[RunOutcome]":
+    """Execute one chunk on *prepared*: lane groups when *lane_width* is
+    >= 2, scalar runs otherwise.  The serial strategy calls this on the
+    caller's thread; a process worker calls it on its own binding."""
+    if lane_width is not None and lane_width > 1 and len(requests) > 1:
+        return execute_lane_chunk(prepared, requests, submitted, worker,
+                                  lane_width)
+    return [
+        execute_outcome(prepared, request, submitted, worker)
+        for request in requests
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -656,46 +627,14 @@ def _initialize_worker(context: WorkerContext) -> None:
     _WORKER_PREPARED = context.bind()
 
 
-def _execute_in_worker(request: RunRequest):
-    prepared = _WORKER_PREPARED
-    if prepared is None:  # pragma: no cover - initializer always ran
-        raise ServingError("worker process was never initialized")
-    start = time.perf_counter()
-    request.check_supported(prepared)
-    result = prepared.run(
-        cycles=request.cycles,
-        io=request.make_io(),
-        trace=request.trace,
-        collect_stats=request.collect_stats,
-        override=request.override,
-    )
-    return result, time.perf_counter() - start
-
-
-def _lane_execute_in_worker(requests: list):
-    prepared = _WORKER_PREPARED
-    if prepared is None:  # pragma: no cover - initializer always ran
-        raise ServingError("worker process was never initialized")
-    return prepared_lane_outcomes(prepared, requests)
-
-
 def _run_chunk_in_worker(
     requests: list, submitted: float, lane_width: int | None = None
 ):
-    worker = f"pid-{os.getpid()}"
-    if lane_width is not None and lane_width > 1 and len(requests) > 1:
-        # lanes within the worker, chunks across workers
-        prepared = _WORKER_PREPARED
-        if prepared is None:  # pragma: no cover - initializer always ran
-            raise ServingError("worker process was never initialized")
-        return execute_lane_chunk(
-            _lane_execute_in_worker, _execute_in_worker, prepared.spec,
-            list(requests), submitted, worker, lane_width,
-        )
-    return [
-        execute_outcome(_execute_in_worker, request, submitted, worker)
-        for request in requests
-    ]
+    prepared = _WORKER_PREPARED
+    if prepared is None:  # pragma: no cover - initializer always ran
+        raise ServingError("worker process was never initialized")
+    return run_chunk(prepared, list(requests), submitted,
+                     f"pid-{os.getpid()}", lane_width)
 
 
 def _lost_outcome(error: Exception) -> RunOutcome:
@@ -758,9 +697,7 @@ class ProcessExecutor(ExecutorStrategy):
         mp_context=None,
         lane_width: int | None = None,
     ) -> None:
-        super().__init__(workers=workers)
-        #: lanes within each worker (``None``/1 = scalar chunks, the default)
-        self.lane_width = lane_width
+        super().__init__(workers=workers, lane_width=lane_width)
         if isinstance(mp_context, str):
             import multiprocessing
 

@@ -3,32 +3,23 @@
 The pool is the serving layer's engine room.  Construction resolves the
 backend and performs one warm ``prepare`` on the caller's thread; for the
 cache-backed backends (threaded, compiled) this pays code generation once
-and seeds the prepare cache, so every later ``prepare`` of the same
-specification is a cache hit returning the *same* artifact.
+and seeds the prepare cache, and it surfaces compilation errors before
+any run is scheduled.
 
 Scheduling is delegated to an execution strategy
-(:mod:`repro.serving.executor`): ``serial`` runs inline, ``thread`` fans
-out over worker threads (the GIL-bound prepare-amortisation engine), and
-``process`` ships the lowered program to worker processes once and scales
-with CPU cores.  ``chunk_size`` groups requests per scheduling unit to
-amortise IPC on the process strategy.
+(:mod:`repro.serving.executor`): ``serial`` runs inline on the caller's
+thread, and ``process`` ships the lowered program to worker processes
+once and scales with CPU cores.  ``lane_width`` turns on lane groups on
+either; ``chunk_size`` groups requests per scheduling unit to amortise
+IPC on the process strategy.
 
-In-process dispatch (serial/thread) is backend-aware:
-
-* **threaded / compiled** (backend exposes a prepare ``cache``): each
-  worker thread binds its own
-  :class:`~repro.core.backend.PreparedSimulation` the first time it picks
-  up a run and reuses it afterwards.  Every worker's prepare is a cache
-  hit on the *same* shared lowered program
-  (:class:`~repro.lowering.program.CycleProgram`) — the expensive
-  artifacts derived from it (closure plans, byte-compiled module) are
-  memoized on the program, so the whole pool executes one IR (see
-  ``shared_program``).
-* **interpreter** (or any backend without a prepare cache): every worker
-  shares the pool's single warm prepared simulation.  Prepared
-  simulations are re-entrant by contract (each ``run`` builds fresh
-  mutable state), so one prepared interpreter program serves the whole
-  pool instead of re-lowering per run.
+In-process (serial) runs all execute on the pool's single warm
+:class:`~repro.core.backend.PreparedSimulation`, whatever the backend.
+Prepared simulations are re-entrant by contract (each ``run`` builds
+fresh mutable state), so concurrent callers — the HTTP server's
+connection threads — share one prepared program instead of binding one
+each; on the cache-backed backends that program is the shared lowered
+:class:`~repro.lowering.program.CycleProgram` (see ``shared_program``).
 
 On the process strategy each worker binds its backend to the lowered
 program shipped at pool startup (see
@@ -36,10 +27,10 @@ program shipped at pool startup (see
 artifact cache (:class:`~repro.compiler.cache.DiskCache`) lets a worker's
 compiled backend skip code generation too.
 
-Throughput model: simulations are pure Python, so ``thread`` workers
-interleave on the GIL and win by paying preparation once; ``process``
-workers each own a core and win again by actually simulating in parallel
-— the dimension ``BENCH_batch.json`` measures.
+Throughput model: simulations are pure Python, so in-process runs share
+one core through the GIL; ``process`` workers each own a core and win by
+actually simulating in parallel — the dimension ``BENCH_batch.json``
+measures.
 """
 
 from __future__ import annotations
@@ -59,14 +50,11 @@ from repro.core.simulator import BackendLike, make_backend
 from repro.errors import ServingError
 from repro.serving.batch import BatchItem, BatchRequest, BatchResult, RunRequest
 from repro.serving.executor import (
-    EXECUTOR_NAMES,
     ExecutorStrategy,
-    LaneExecutor,
     ProcessExecutor,
     RunOutcome,
     SerialExecutor,
-    ThreadExecutor,
-    prepared_lane_outcomes,
+    resolve_executor,
     seed_disk_cache,
     worker_context_for,
 )
@@ -78,18 +66,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
-
-
-def _default_workers(executor: str) -> int:
-    if executor in ("serial", "lane"):
-        # lane wins by vectorization on the caller's thread, not workers
-        return 1
-    if executor == "process":
-        # one worker per available core: the whole point is parallelism
-        return max(2, min(8, _available_cpus()))
-    # thread: the serving win is cache amortisation, not CPU parallelism,
-    # so a useful pool does not need one core per worker
-    return max(4, min(8, os.cpu_count() or 1))
 
 
 def batch_items(
@@ -142,14 +118,16 @@ def batch_items(
 class SimulationPool:
     """A worker pool serving many runs of one prepared specification.
 
-    ``executor`` picks the execution strategy (``"serial"``, ``"thread"``,
-    ``"process"`` or ``"lane"``); ``chunk_size`` fixes how many requests
-    travel per scheduling unit (default: one for serial/thread, about two
-    chunks per worker for process, the whole batch for lane).
+    ``executor`` picks the execution strategy (``"serial"`` or
+    ``"process"``; the aliases ``thread`` and ``lane`` resolve to
+    serial, see :func:`~repro.serving.executor.resolve_executor`).
     ``lane_width`` bounds how many compatible requests ride one lane
-    group (see :mod:`repro.lowering.lanes`); on the process strategy a
-    non-``None`` width turns on lanes *inside* each worker, composing
-    vectorization with multi-core fan-out.  ``artifact_cache`` roots the persistent
+    group (see :mod:`repro.lowering.lanes`): ``None`` or 1 runs scalar,
+    N >= 2 groups inline on serial and *inside* each worker on process,
+    composing vectorization with multi-core fan-out.  ``chunk_size``
+    fixes how many requests travel per scheduling unit (default: one for
+    scalar serial, the whole batch for serial lanes, about two chunks per
+    worker for process).  ``artifact_cache`` roots the persistent
     artifact cache used to seed process workers (``True``/``None`` for
     the default directory, a path, a
     :class:`~repro.compiler.cache.DiskCache`, or ``False`` to disable).
@@ -164,32 +142,29 @@ class SimulationPool:
         backend: BackendLike = "threaded",
         max_workers: int | None = None,
         codegen_options: CodegenOptions | None = None,
-        executor: str = "thread",
+        executor: str = "serial",
         chunk_size: int | None = None,
         artifact_cache: "DiskCache | str | Path | bool | None" = None,
         mp_context=None,
         lane_width: int | None = None,
     ) -> None:
-        if executor not in EXECUTOR_NAMES:
-            raise ServingError(
-                f"unknown executor '{executor}'; expected one of "
-                f"{EXECUTOR_NAMES}"
-            )
-        if max_workers is None:
-            max_workers = _default_workers(executor)
-        if max_workers <= 0:
-            raise ServingError(
-                f"max_workers must be positive, got {max_workers}"
-            )
-        if executor in ("serial", "lane"):
-            max_workers = 1
-        if chunk_size is not None and chunk_size <= 0:
-            raise ServingError(
-                f"chunk_size must be positive, got {chunk_size}"
-            )
         if lane_width is not None and lane_width <= 0:
             raise ServingError(
                 f"lane_width must be positive, got {lane_width}"
+            )
+        executor, lane_width = resolve_executor(executor, lane_width)
+        if max_workers is not None and max_workers <= 0:
+            raise ServingError(
+                f"max_workers must be positive, got {max_workers}"
+            )
+        if executor == "serial":
+            max_workers = 1  # inline on the caller's thread
+        elif max_workers is None:
+            # one worker per available core: the whole point is parallelism
+            max_workers = max(2, min(8, _available_cpus()))
+        if chunk_size is not None and chunk_size <= 0:
+            raise ServingError(
+                f"chunk_size must be positive, got {chunk_size}"
             )
         self.spec = spec
         self.max_workers = max_workers
@@ -202,8 +177,6 @@ class SimulationPool:
         start = time.perf_counter()
         self._warm: PreparedSimulation = self._backend.prepare(spec)
         self.prepare_seconds = time.perf_counter() - start
-        self._reuse_prepared = getattr(self._backend, "cache", None) is not None
-        self._local = threading.local()
         self._strategy = self._build_strategy(executor, artifact_cache,
                                               mp_context)
         self._closed = False
@@ -216,20 +189,7 @@ class SimulationPool:
         self, executor: str, artifact_cache, mp_context
     ) -> ExecutorStrategy:
         if executor == "serial":
-            return SerialExecutor(self._execute)
-        if executor == "lane":
-            return LaneExecutor(
-                self._execute_lanes,
-                self._execute,
-                self.spec,
-                lane_width=self.lane_width,
-            )
-        if executor == "thread":
-            return ThreadExecutor(
-                self._execute,
-                workers=self.max_workers,
-                thread_name_prefix=f"repro-{self._backend.name}",
-            )
+            return SerialExecutor(self._warm, self.lane_width)
         # process: seed the persistent artifact cache so worker cold starts
         # skip lowering and code generation, then ship the lowered program
         # once through the pool initializer
@@ -260,13 +220,11 @@ class SimulationPool:
 
     @property
     def shared_program(self):
-        """The lowered program every in-process worker binds to, or ``None``.
+        """The lowered program every in-process run executes, or ``None``.
 
-        Cache-backed backends (threaded, compiled) share it through the
-        prepare cache; backends without one (the interpreter) share the
-        warm prepared simulation itself, so its program — when it exposes
-        one — is equally shared.  Process workers bind to a pickled copy
-        of this same program, shipped once at pool startup.
+        It is the warm prepared simulation's program (shared with the
+        prepare cache on the cache-backed backends); process workers bind
+        to a pickled copy of it, shipped once at pool startup.
         """
         return getattr(self._warm, "program", None)
 
@@ -292,38 +250,6 @@ class SimulationPool:
         strategy (all zero except on the process executor)."""
         return self._strategy.counters()
 
-    # -- per-worker / per-run binding ---------------------------------------
-
-    def _prepared_for_run(self) -> PreparedSimulation:
-        """Backend-aware dispatch: per-thread cache-hit binding for
-        cache-backed backends, shared warm prepared otherwise."""
-        if not self._reuse_prepared:
-            # prepared simulations are re-entrant: one warm interpreter
-            # program serves every worker (no per-run re-lowering)
-            return self._warm
-        prepared = getattr(self._local, "prepared", None)
-        if prepared is None:
-            prepared = self._backend.prepare(self.spec)
-            self._local.prepared = prepared
-        return prepared
-
-    def _execute(self, request: RunRequest) -> tuple[SimulationResult, float]:
-        start = time.perf_counter()
-        prepared = self._prepared_for_run()
-        request.check_supported(prepared)
-        result = prepared.run(
-            cycles=request.cycles,
-            io=request.make_io(),
-            trace=request.trace,
-            collect_stats=request.collect_stats,
-            override=request.override,
-        )
-        return result, time.perf_counter() - start
-
-    def _execute_lanes(self, requests: "list[RunRequest]"):
-        """Run one compatible lane group on this thread's prepared binding."""
-        return prepared_lane_outcomes(self._prepared_for_run(), requests)
-
     # -- submission ----------------------------------------------------------
 
     def _check_open(self) -> None:
@@ -335,12 +261,12 @@ class SimulationPool:
     ) -> "list[Future[RunOutcome]]":
         with self._submit_lock:
             self._check_open()
-            if not isinstance(self._strategy, (SerialExecutor, LaneExecutor)):
+            if not isinstance(self._strategy, SerialExecutor):
                 return self._strategy.submit_many(requests, self.chunk_size)
-        # the serial and lane strategies execute inline at submission: run
-        # them outside the lock so close(wait=False) never blocks on a batch
-        # and a run hook that submits re-entrantly cannot deadlock (there is
-        # no underlying executor for close() to race with)
+        # the serial strategy executes inline at submission: run it outside
+        # the lock so close(wait=False) never blocks on a batch and a run
+        # hook that submits re-entrantly cannot deadlock (there is no
+        # underlying executor for close() to race with)
         return self._strategy.submit_many(requests, self.chunk_size)
 
     def submit(self, request: RunRequest) -> "Future[SimulationResult]":
@@ -377,12 +303,12 @@ class SimulationPool:
         requests = self._coerce_runs(runs)
         start = time.perf_counter()
         before = self._strategy.counters()
-        outcomes: "list[RunOutcome | BaseException] | None"
+        outcomes: "list[RunOutcome | BaseException]"
         collected: "list[float]"
-        if isinstance(self._strategy, LaneExecutor):
-            # the lane strategy produces outcomes directly on this thread —
-            # no per-item Future plumbing (same no-deadlock reasoning as
-            # in _submit_many: execution happens outside the submit lock)
+        if isinstance(self._strategy, SerialExecutor) and self.lane_width:
+            # serial lanes produce outcomes directly on this thread — no
+            # per-item Future plumbing (same no-deadlock reasoning as in
+            # _submit_many: execution happens outside the submit lock)
             with self._submit_lock:
                 self._check_open()
             outcomes = self._strategy.execute_many(requests, self.chunk_size)
@@ -456,7 +382,7 @@ def run_batch(
     request: BatchRequest,
     max_workers: int | None = None,
     codegen_options: CodegenOptions | None = None,
-    executor: str = "thread",
+    executor: str = "serial",
     chunk_size: int | None = None,
     lane_width: int | None = None,
 ) -> BatchResult:

@@ -48,6 +48,7 @@ from repro.core.simulator import BACKEND_NAMES
 from repro.errors import (
     AsimError,
     DeadlineExceededError,
+    ServingError,
     SpecFormatError,
     SpecificationError,
     WorkerCrashError,
@@ -57,7 +58,7 @@ from repro.rtl.interchange import spec_from_json
 from repro.rtl.parser import parse_spec
 from repro.rtl.spec import Specification
 from repro.serving.batch import BatchResult, RunRequest
-from repro.serving.executor import EXECUTOR_NAMES
+from repro.serving.executor import resolve_executor as executor_strategy
 
 #: Wire protocol version, echoed in every response envelope.  Bump on any
 #: incompatible change to the request or response shapes.
@@ -322,8 +323,10 @@ def shard_identity(doc: Any, default_backend: str,
     """The ``(pool_key, backend, executor)`` triple fleet routing shards on.
 
     This is exactly the identity (minus lane width) the server keys its
-    warm ``PoolRegistry`` on, so a router that shards by it keeps every
-    repeat of a combination on the node whose pool is already warm.
+    warm ``PoolRegistry`` on — the executor resolved to its strategy name,
+    so an alias lands where its strategy does — and a router that shards
+    by it keeps every repeat of a combination on the node whose pool is
+    already warm.
     Validation happens here, at the front door: an unknown machine or a
     spec that does not parse is rejected with the same structured 4xx a
     node would answer, without ever reaching one.
@@ -331,7 +334,7 @@ def shard_identity(doc: Any, default_backend: str,
     _require_type(doc, dict, "request body")
     _spec, _label, pool_key = resolve_spec(doc)
     backend = resolve_backend(doc, default_backend)
-    executor = resolve_executor(doc, default_executor)
+    executor, _width = resolve_executor(doc, default_executor)
     return pool_key, backend, executor
 
 
@@ -347,17 +350,25 @@ def resolve_backend(doc: Mapping, default: str) -> str:
     return backend
 
 
-def resolve_executor(doc: Mapping, default: str) -> str:
-    """The validated executor name a request asks for."""
+def resolve_executor(
+    doc: Mapping, default: str, default_lane_width: int | None = None
+) -> tuple[str, int | None]:
+    """The validated ``(strategy, lane width)`` a request asks for.
+
+    The request's ``executor`` (an alias included) and ``lane_width``
+    fields, falling back to the server's defaults, resolved by
+    :func:`~repro.serving.executor.resolve_executor`.
+    """
     executor = doc.get("executor", default)
     _require_type(executor, str, "'executor'")
-    if executor not in EXECUTOR_NAMES:
-        raise ProtocolError(
-            f"unknown executor '{executor}'; "
-            f"expected one of {EXECUTOR_NAMES}",
-            kind="unknown_executor",
+    lane_width = resolve_lane_width(doc)
+    try:
+        return executor_strategy(
+            executor,
+            lane_width if lane_width is not None else default_lane_width,
         )
-    return executor
+    except ServingError as exc:
+        raise ProtocolError(str(exc), kind="unknown_executor") from None
 
 
 def resolve_lane_width(doc: Mapping) -> int | None:
@@ -390,15 +401,16 @@ class ParsedBatch:
     #: pool registry keys on
     pool_key: str
     backend: str
+    #: the resolved strategy name (``serial`` or ``process``)
     executor: str
     runs: tuple[RunRequest, ...]
-    #: lane group size for the lane executor (and lanes inside process
-    #: workers); ``None`` leaves the pool's default in charge
+    #: the resolved lane group size (``None`` = scalar runs)
     lane_width: int | None = None
 
 
 def parse_batch_request(
-    doc: Any, default_backend: str, default_executor: str
+    doc: Any, default_backend: str, default_executor: str,
+    default_lane_width: int | None = None,
 ) -> ParsedBatch:
     """Validate a whole batch body (see ``docs/api-reference.md``)."""
     _require_type(doc, dict, "batch request")
@@ -410,7 +422,8 @@ def parse_batch_request(
         )
     spec, label, pool_key = resolve_spec(doc)
     backend = resolve_backend(doc, default_backend)
-    executor = resolve_executor(doc, default_executor)
+    executor, lane_width = resolve_executor(doc, default_executor,
+                                            default_lane_width)
     runs_doc = doc.get("runs")
     if runs_doc is None:
         raise ProtocolError("'runs' is required (a list of run objects)")
@@ -420,13 +433,13 @@ def parse_batch_request(
     runs = tuple(run_request_from_json(run) for run in runs_doc)
     return ParsedBatch(
         spec=spec, label=label, pool_key=pool_key, backend=backend,
-        executor=executor, runs=runs,
-        lane_width=resolve_lane_width(doc),
+        executor=executor, runs=runs, lane_width=lane_width,
     )
 
 
 def parse_run_request(
-    doc: Any, default_backend: str, default_executor: str
+    doc: Any, default_backend: str, default_executor: str,
+    default_lane_width: int | None = None,
 ) -> ParsedBatch:
     """Validate a ``POST /v1/run`` body: one run, fields flattened.
 
@@ -444,14 +457,14 @@ def parse_run_request(
         )
     spec, label, pool_key = resolve_spec(doc)
     backend = resolve_backend(doc, default_backend)
-    executor = resolve_executor(doc, default_executor)
+    executor, lane_width = resolve_executor(doc, default_executor,
+                                            default_lane_width)
     run = run_request_from_json(
         {key: doc[key] for key in RUN_FIELDS if key in doc}
     )
     return ParsedBatch(
         spec=spec, label=label, pool_key=pool_key, backend=backend,
-        executor=executor, runs=(run,),
-        lane_width=resolve_lane_width(doc),
+        executor=executor, runs=(run,), lane_width=lane_width,
     )
 
 

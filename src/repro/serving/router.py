@@ -6,8 +6,9 @@ into one service:
 
 * **Consistent sharding.**  ``POST /v1/run`` and ``POST /v1/batch`` are
   routed by the ``(pool key, backend, executor)`` triple — the same
-  identity the per-node ``PoolRegistry`` keys its warm pools on — using
-  rendezvous (highest-random-weight) hashing.  Repeats of a combination
+  identity the per-node ``PoolRegistry`` keys its warm pools on, executor
+  aliases resolved to their strategy — using rendezvous
+  (highest-random-weight) hashing.  Repeats of a combination
   land on the node whose pool is already warm, and the assignment of
   every *other* combination is untouched when a node leaves or returns.
 * **Spillover and bounded failover.**  A request whose home node is
@@ -122,7 +123,7 @@ class FleetRouter(HttpEdge):
         port: int = 0,
         *,
         default_backend: str = "threaded",
-        default_executor: str = "thread",
+        default_executor: str = "serial",
         quorum: int | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         forward_timeout: float = 600.0,
@@ -432,7 +433,7 @@ class ServingFleet:
         *,
         child_args: Sequence[str] = (),
         backend: str = "threaded",
-        executor: str = "thread",
+        executor: str = "serial",
         quorum: int | None = None,
         drain_timeout: float = 10.0,
         health_interval: float = 0.25,

@@ -33,9 +33,13 @@ Endpoints (documented with schemas and examples in
   instance without killing it.
 
 Pools are created lazily on first use and kept in a registry keyed on
-(machine, backend, executor, lane width); the disk artifact cache is
-pruned once at
-startup (:meth:`~repro.compiler.cache.DiskCache.prune`) so a long-running
+(machine, backend, executor, lane width).  The executor is resolved once,
+at parsing: the aliases ``thread`` and ``lane`` arrive as ``serial`` with
+their lane width, so registry keys, responses, ``/v1/stats`` and traces
+carry strategy names only.  On a serial pool each request runs inline on
+its connection's thread, so ``max_inflight`` is what bounds concurrent
+runs.  The disk artifact cache is pruned once at startup
+(:meth:`~repro.compiler.cache.DiskCache.prune`) so a long-running
 deployment stays inside its byte/age budget.
 
 Under load the server applies **backpressure** instead of queueing
@@ -77,7 +81,11 @@ from repro.errors import ServingError
 from repro.machines.library import all_machines
 from repro.serving.batch import BatchResult
 from repro.serving.edge import HttpEdge, Request
-from repro.serving.executor import EXECUTOR_NAMES, ZERO_COUNTERS
+from repro.serving.executor import (
+    EXECUTOR_NAMES,
+    ZERO_COUNTERS,
+    resolve_executor,
+)
 from repro.serving.pool import SimulationPool
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
@@ -238,8 +246,9 @@ class PoolRegistry:
     creation lock for real milliseconds).
 
     ``max_pools`` caps how many pools stay warm: a server fed unbounded
-    distinct inline specs would otherwise grow a pool (with live worker
-    threads or processes) per fingerprint forever.  Past the cap the
+    distinct inline specs would otherwise grow a pool (a warm prepared
+    program, plus live worker processes on the process strategy) per
+    fingerprint forever.  Past the cap the
     least-recently-used pool is drained gracefully and evicted — the
     next request for that combination pays prepare again, which is the
     honest cost of exceeding the working set.  ``None`` means unbounded.
@@ -261,7 +270,7 @@ class PoolRegistry:
         self.max_workers = max_workers
         self.chunk_size = chunk_size
         #: server-wide default lane group size; a request's ``lane_width``
-        #: field overrides it per pool
+        #: field overrides it (resolved into ``ParsedBatch.lane_width``)
         self.lane_width = lane_width
         self.artifact_cache = artifact_cache
         #: walk :data:`BACKEND_FALLBACKS` when a backend's prepare fails
@@ -278,12 +287,6 @@ class PoolRegistry:
         self._creation_locks: dict[PoolKey, threading.Lock] = {}
         self._lock = threading.Lock()
         self._closed = False
-
-    def _effective_lane_width(self, batch: ParsedBatch) -> int | None:
-        return (
-            batch.lane_width if batch.lane_width is not None
-            else self.lane_width
-        )
 
     def __len__(self) -> int:
         with self._lock:
@@ -313,7 +316,7 @@ class PoolRegistry:
         sticky and later identical requests reuse it without re-failing
         the broken backend)."""
         key = (batch.pool_key, batch.backend, batch.executor,
-               self._effective_lane_width(batch))
+               batch.lane_width)
         pool = self._check_open_and_get(key)
         if pool is not None:
             with self._lock:
@@ -379,7 +382,7 @@ class PoolRegistry:
                     executor=batch.executor,
                     max_workers=self.max_workers,
                     chunk_size=self.chunk_size,
-                    lane_width=self._effective_lane_width(batch),
+                    lane_width=batch.lane_width,
                     artifact_cache=self.artifact_cache,
                 )
             except ProtocolError:
@@ -452,7 +455,8 @@ class SimulationServer(HttpEdge):
 
     ``port=0`` binds an ephemeral port (the end-to-end tests use this);
     the bound address is available as :attr:`host`/:attr:`port`/
-    :attr:`url` after construction.  ``backend``/``executor`` are the
+    :attr:`url` after construction.  ``backend``/``executor`` (a strategy
+    or an alias, resolved per request) and ``lane_width`` are the
     defaults a request may override per call; ``max_workers`` and
     ``chunk_size`` configure every pool the registry creates.
 
@@ -491,7 +495,7 @@ class SimulationServer(HttpEdge):
         host: str = "127.0.0.1",
         port: int = 0,
         backend: str = "threaded",
-        executor: str = "thread",
+        executor: str = "serial",
         max_workers: int | None = None,
         chunk_size: int | None = None,
         lane_width: int | None = None,
@@ -523,6 +527,7 @@ class SimulationServer(HttpEdge):
             raise ValueError(
                 f"default_timeout must be positive, got {default_timeout}"
             )
+        resolve_executor(executor)  # an unknown default fails here, once
         self.default_backend = backend
         self.default_executor = executor
         self.default_timeout = default_timeout
@@ -643,15 +648,18 @@ class SimulationServer(HttpEdge):
                 "specopt_default": (
                     passes is not None and passes != SpecOptPasses.none()
                 ),
-                # every built-in backend serves every executor strategy:
-                # lane groups fall back to the generic lane evaluator when
-                # a backend has no generated lane entry point
+                # every built-in backend serves every executor strategy,
+                # lanes included: lane groups fall back to the generic lane
+                # evaluator when a backend has no generated lane entry point
                 "executors": list(EXECUTOR_NAMES),
             })
         return 200, {"protocol": PROTOCOL_VERSION, "backends": backends}
 
     def handle_stats(self, request: Request) -> tuple[int, dict]:
         counters = self._counters()
+        # what a request naming neither field runs on
+        executor, lane_width = resolve_executor(self.default_executor,
+                                                self.registry.lane_width)
         document = {
             "protocol": PROTOCOL_VERSION,
             "server": {
@@ -662,10 +670,10 @@ class SimulationServer(HttpEdge):
             },
             "config": {
                 "backend": self.default_backend,
-                "executor": self.default_executor,
+                "executor": executor,
                 "max_workers": self.registry.max_workers,
                 "chunk_size": self.registry.chunk_size,
-                "lane_width": self.registry.lane_width,
+                "lane_width": lane_width,
                 "default_timeout": self.default_timeout,
                 "max_body_bytes": self.max_body_bytes,
                 "drain_timeout": self.drain_timeout,
@@ -754,7 +762,7 @@ class SimulationServer(HttpEdge):
 
     def _run_request(
         self, request: Request,
-        parse: Callable[[object, str, str], ParsedBatch],
+        parse: Callable[[object, str, str, "int | None"], ParsedBatch],
     ) -> tuple[BatchResult, dict | None]:
         """Parse *request* with *parse*, admit, resolve the pool
         (fallback chain included), and run.
@@ -772,7 +780,8 @@ class SimulationServer(HttpEdge):
         """
         default_timeout = self._request_timeout(request.headers)
         batch = with_default_timeout(
-            parse(request.doc, self.default_backend, self.default_executor),
+            parse(request.doc, self.default_backend, self.default_executor,
+                  self.registry.lane_width),
             default_timeout,
         )
         tb = request.trace

@@ -108,7 +108,8 @@ class TestServeBatchCommand:
         assert main(["serve-batch", str(spec_file), "-n", "6", "-w", "2",
                      "-c", "10"]) == 0
         out = capsys.readouterr().out
-        assert "6 runs on threaded (2 workers, thread executor)" in out
+        # the default serial strategy runs inline: one worker, whatever -w
+        assert "6 runs on threaded (1 workers, serial executor)" in out
         assert "6/6 runs ok" in out
         assert "runs/sec" in out
 
@@ -128,12 +129,15 @@ class TestServeBatchCommand:
         assert main(["serve-batch", str(spec_file), "-n", "2"]) == 1
         assert "failed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor",
+                             ["serial", "process", "thread", "lane"])
     def test_serve_batch_executor_choice(self, spec_file, executor, capsys):
         assert main(["serve-batch", str(spec_file), "-n", "4", "-c", "10",
                      "-w", "2", "--executor", executor, "--check"]) == 0
         out = capsys.readouterr().out
-        assert f"{executor} executor" in out
+        # the aliases are reported as the strategy they resolve to
+        strategy = "process" if executor == "process" else "serial"
+        assert f"{strategy} executor" in out
         assert "bit-identical to sequential" in out
         assert "runs/sec busy" in out  # the per-worker breakdown
 

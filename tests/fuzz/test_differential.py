@@ -37,9 +37,9 @@ class TestCleanDifferential:
                 machine.spec, machine.cycles, machine.inputs
             )
             assert report.ok, report.describe()
-            # 6 sequential configs + 6 per executor strategy
-            # (serial / thread / process / lane)
-            assert report.configs_run == 30
+            # 6 sequential configs + 6 per executor configuration
+            # (serial / serial with lanes / process)
+            assert report.configs_run == 24
             assert "bit-identical" in report.describe()
 
     def test_sequential_only_when_no_executors(self):

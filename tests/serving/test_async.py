@@ -1,6 +1,7 @@
 """Tests for the asyncio front-end (async_run / async_run_batch)."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -20,7 +21,7 @@ class TestAsyncRunBatch:
         request = BatchRequest.repeat(counter_spec, 6, cycles=10)
         batch = asyncio.run(async_run_batch(request, max_workers=3))
         assert batch.ok
-        assert batch.pool_size == 3
+        assert (batch.executor, batch.pool_size) == ("serial", 1)
         assert [r.value("count") for r in batch.results] == [2] * 6
 
     def test_reuses_a_provided_pool(self, counter_spec):
@@ -59,24 +60,35 @@ class TestAsyncRunBatch:
         assert [item.ok for item in batch.items] == [True, False]
 
     def test_event_loop_stays_responsive(self, counter_spec):
-        """A concurrent coroutine makes progress while the batch runs."""
-        ticks = []
+        """The loop keeps scheduling coroutines while the batch simulates,
+        on the default serial strategy too (it runs inline on whichever
+        thread calls it): the first run waits for a coroutine that only a
+        free event loop can run."""
+        loop_ran = threading.Event()
+        waits = []
 
-        async def ticker():
-            for _ in range(3):
-                ticks.append(1)
-                await asyncio.sleep(0)
+        def wait_for_the_loop(name, value, cycle):
+            if not waits:
+                waits.append(loop_ran.wait(timeout=10))
+            return value
+
+        async def mark_loop_free():
+            loop_ran.set()
 
         async def scenario():
-            request = BatchRequest.repeat(counter_spec, 4, cycles=200)
+            request = BatchRequest(
+                counter_spec,
+                [RunRequest(cycles=20, override=wait_for_the_loop)] * 2,
+            )
             batch, _ = await asyncio.gather(
-                async_run_batch(request, max_workers=2), ticker()
+                async_run_batch(request, max_workers=2), mark_loop_free()
             )
             return batch
 
         batch = asyncio.run(scenario())
         assert batch.ok
-        assert len(ticks) == 3
+        assert batch.executor == "serial"
+        assert waits == [True]
 
 
 class TestAsyncRun:

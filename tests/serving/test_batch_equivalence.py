@@ -5,10 +5,11 @@ paper's interpreter-vs-compiler equivalence argument: fanning runs out
 over a worker pool must not change a single observable bit — final
 component values, full memory contents, and the memory-mapped output
 stream all match a sequential run of the same prepared backend.  The
-sweep covers every strategy that reorganises execution: worker threads
-sharing one in-process artifact, worker processes binding to the lowered
-program pickled to them at pool startup, and lane groups running N
-variants through one walk of the dependency schedule.
+sweep covers every configuration that reorganises execution: worker
+processes binding to the lowered program pickled to them at pool
+startup, and lane groups running N variants through one walk of the
+dependency schedule (inline on the serial strategy, and inside process
+workers).
 """
 
 import pytest
@@ -17,13 +18,10 @@ from repro.core.simulator import BACKEND_NAMES, make_backend
 from repro.machines.library import all_machines, get_machine
 from repro.serving import RunRequest, SimulationPool
 
-#: Every strategy that reorganises execution must preserve bit-identity
-#: (serial trivially shares the sequential code path and is covered by
-#: the executor tests).
-EXECUTORS = ("thread", "process", "lane")
-
-#: Workers per strategy in the sweep (lane runs inline on one thread).
-EXECUTOR_WORKERS = {"thread": 4, "process": 2, "lane": 1}
+#: Every (strategy, lane width) that reorganises execution must preserve
+#: bit-identity (scalar serial runs share the sequential code path and
+#: are covered by the executor tests).
+CONFIGS = {"process": ("process", None), "lanes": ("serial", 16)}
 
 #: Bundled machines exercised by the sweep; cycles capped to keep the
 #: interpreter rows fast while still covering memories, selectors and I/O.
@@ -51,10 +49,10 @@ def test_every_bundled_machine_is_covered():
     assert set(MACHINE_CYCLES) == {entry.name for entry in all_machines()}
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 @pytest.mark.parametrize("machine_name", sorted(MACHINE_CYCLES))
-def test_batched_equals_sequential(machine_name, backend_name, executor):
+def test_batched_equals_sequential(machine_name, backend_name, config):
     entry = get_machine(machine_name)
     spec = entry.build()
     cycles = MACHINE_CYCLES[machine_name]
@@ -66,9 +64,9 @@ def test_batched_equals_sequential(machine_name, backend_name, executor):
         for run in runs
     ]
 
-    workers = EXECUTOR_WORKERS[executor]
+    executor, lane_width = CONFIGS[config]
     with SimulationPool(spec, backend=backend_name, executor=executor,
-                        max_workers=workers) as pool:
+                        max_workers=2, lane_width=lane_width) as pool:
         batch = pool.run_batch(runs)
 
     assert batch.ok, [str(item.error) for item in batch.failures]
@@ -99,7 +97,7 @@ def test_lane_groups_equal_sequential(machine_name, backend_name):
         for run in runs
     ]
 
-    with SimulationPool(spec, backend=backend_name, executor="lane",
+    with SimulationPool(spec, backend=backend_name, executor="serial",
                         lane_width=4) as pool:
         batch = pool.run_batch(runs)
 
@@ -121,7 +119,8 @@ def test_lane_heterogeneous_cycles_group_by_profile(backend_name):
         observables(prepared.run(cycles=run.cycles, io=run.make_io()))
         for run in runs
     ]
-    with SimulationPool(spec, backend=backend_name, executor="lane") as pool:
+    with SimulationPool(spec, backend=backend_name, executor="serial",
+                        lane_width=16) as pool:
         batch = pool.run_batch(runs)
     assert batch.ok, [str(item.error) for item in batch.failures]
     assert [observables(item.result) for item in batch.items] == sequential

@@ -148,12 +148,11 @@ class TestWorkerCrashRecovery:
 
 
 class TestDeadlines:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_smoke_cooperative_deadline_interrupts_in_process(
-        self, counter_spec, executor
+        self, counter_spec
     ):
         with SimulationPool(counter_spec, backend="interpreter",
-                            executor=executor) as pool:
+                            executor="serial") as pool:
             start = time.monotonic()
             batch = pool.run_batch([RunRequest(
                 cycles=10_000, timeout_seconds=0.2,
@@ -269,8 +268,8 @@ class TestLaneFaultIsolation:
                 item.tag: item
                 for item in pool.run_batch(self._runs()).items
             }
-        with SimulationPool(spec, backend=backend_name,
-                            executor="lane") as pool:
+        with SimulationPool(spec, backend=backend_name, executor="serial",
+                            lane_width=16) as pool:
             batch = pool.run_batch(self._runs())
 
         assert not batch.ok
@@ -293,7 +292,7 @@ class TestLaneFaultIsolation:
         # the same chunk with its deadline enforced, while the compatible
         # requests around it still ride a lane group and succeed
         with SimulationPool(counter_spec, backend="interpreter",
-                            executor="lane") as pool:
+                            executor="serial", lane_width=16) as pool:
             baseline = pool.run(RunRequest(cycles=CYCLES, trace=False))
             batch = pool.run_batch([
                 RunRequest(cycles=CYCLES, trace=False, tag="lane-0"),

@@ -1,9 +1,10 @@
-"""Tests for the execution strategies (serial / thread / process).
+"""Tests for the execution strategies (serial / process) and the aliases.
 
 The process strategy is the interesting one: the lowered program is
 pickled to worker processes once at pool startup, requests travel in
 chunks, and per-item error capture must survive the process boundary —
 including requests that cannot cross it at all (an unpicklable override).
+The input names ``thread`` and ``lane`` resolve onto the serial strategy.
 """
 
 import threading
@@ -15,6 +16,7 @@ from repro.compiler.compiled import CompiledBackend
 from repro.compiler.threaded import ThreadedBackend
 from repro.core.simulator import BACKEND_NAMES, make_backend
 from repro.errors import ServingError, SimulationError
+from repro.lowering.lanes import DEFAULT_LANE_WIDTH
 from repro.serving import (
     EXECUTOR_NAMES,
     BatchRequest,
@@ -23,7 +25,7 @@ from repro.serving import (
     WorkerContext,
     run_batch,
 )
-from repro.serving.executor import worker_context_for
+from repro.serving.executor import resolve_executor, worker_context_for
 
 
 def _observables(result):
@@ -64,10 +66,38 @@ class TestStrategyEquivalence:
     def test_unknown_executor_rejected(self, counter_spec):
         with pytest.raises(ServingError, match="unknown executor"):
             SimulationPool(counter_spec, executor="fiber")
+        with pytest.raises(ServingError, match="unknown executor"):
+            resolve_executor("fiber")
 
     def test_nonpositive_chunk_size_rejected(self, counter_spec):
         with pytest.raises(ServingError, match="chunk_size"):
             SimulationPool(counter_spec, chunk_size=0)
+
+
+class TestExecutorAliases:
+    @pytest.mark.parametrize("name, width, resolved", [
+        ("serial", None, ("serial", None)),
+        ("serial", 1, ("serial", None)),
+        ("serial", 4, ("serial", 4)),
+        ("process", 4, ("process", 4)),
+        ("thread", None, ("serial", None)),
+        ("thread", 4, ("serial", 4)),
+        ("lane", None, ("serial", DEFAULT_LANE_WIDTH)),
+        ("lane", 4, ("serial", 4)),
+        ("lane", 1, ("serial", None)),
+    ])
+    def test_resolver_maps_names_onto_strategy_and_width(self, name, width,
+                                                         resolved):
+        assert resolve_executor(name, width) == resolved
+
+    @pytest.mark.parametrize("alias", ["thread", "lane"])
+    def test_alias_pool_runs_and_reports_serial(self, counter_spec, alias):
+        with SimulationPool(counter_spec, executor=alias,
+                            max_workers=4) as pool:
+            batch = pool.run_batch([RunRequest(cycles=4, trace=False)] * 3)
+        assert batch.ok
+        assert pool.executor_name == batch.executor == "serial"
+        assert batch.runs_by_worker == {"serial-0": 3}
 
 
 class TestSerialStrategy:

@@ -1,5 +1,6 @@
 """Tests for SimulationPool: dispatch, cache sharing, error capture."""
 
+import sys
 import threading
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.compiler.cache import PrepareCache
 from repro.compiler.compiled import CompiledBackend
 from repro.compiler.threaded import ThreadedBackend
+from repro.core.simulator import BACKEND_NAMES, make_backend
 from repro.errors import ServingError, SimulationError
 from repro.rtl.parser import parse_spec
 from repro.serving import BatchRequest, RunRequest, SimulationPool, run_batch
@@ -92,9 +94,10 @@ class TestBackendDispatch:
         with SimulationPool(counter_spec, backend=backend, max_workers=4) as pool:
             batch = pool.run_batch([RunRequest(cycles=5)] * 16)
         assert batch.ok
-        # one miss (the pool's warm prepare); every worker prepare hit it
+        # one miss (the pool's warm prepare), and no prepare after it:
+        # every run executes on the warm prepared simulation
         assert cache.stats.misses == 1
-        assert cache.stats.hits >= 1
+        assert cache.stats.hits == 0
         assert len(cache) == 1
 
     def test_compiled_workers_share_one_cached_artifact(self, counter_spec):
@@ -103,7 +106,9 @@ class TestBackendDispatch:
         with SimulationPool(counter_spec, backend=backend, max_workers=4) as pool:
             batch = pool.run_batch([RunRequest(cycles=5)] * 16)
         assert batch.ok
+        # the warm prepare is the only prepare
         assert cache.stats.misses == 1
+        assert cache.stats.hits == 0
         assert len(cache) == 1
 
     def test_uncached_backend_prepares_once_and_shares(self, counter_spec):
@@ -120,7 +125,7 @@ class TestBackendDispatch:
             batch = pool.run_batch([RunRequest(cycles=3)] * 6)
         assert batch.ok
         # prepared simulations are re-entrant: the warm prepare is the only
-        # one, shared by every worker (no per-run prepare fallback anymore)
+        # one, shared by every run
         assert len(prepares) == 1
 
     def test_workers_bind_to_the_shared_lowered_program(self, counter_spec):
@@ -132,9 +137,50 @@ class TestBackendDispatch:
             futures = [pool.submit(RunRequest(cycles=3)) for _ in range(9)]
             for future in futures:
                 future.result()
-            # every worker's prepared simulation wraps the same CycleProgram
-            worker_prepared = backend.prepare(counter_spec)
-            assert worker_prepared.program is program
+            # the runs' warm simulation wraps the cached CycleProgram, the
+            # same one any later prepare of the spec gets
+            assert backend.prepare(counter_spec).program is program
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_concurrent_callers_share_the_warm_simulation(self, counter_spec,
+                                                         backend_name):
+        """A serial pool runs every caller on its one warm prepared
+        simulation: threads outnumbering the cores, preempted often, must
+        each get exactly the sequential result of their own run."""
+
+        def observed(result):
+            return (result.final_values, result.memory_contents,
+                    [(e.address, e.value) for e in result.outputs],
+                    result.stats)
+
+        reference = make_backend(backend_name).prepare(counter_spec)
+        cycle_counts = (3, 5, 8, 13, 21, 34)
+        expected = {cycles: observed(reference.run(cycles=cycles))
+                    for cycles in cycle_counts}
+        seen = []
+
+        with SimulationPool(counter_spec, backend=backend_name) as pool:
+            def client(cycles):
+                for _ in range(20):
+                    seen.append(
+                        (cycles, observed(pool.run(RunRequest(cycles=cycles))))
+                    )
+
+            threads = [threading.Thread(target=client, args=(cycles,))
+                       for cycles in cycle_counts]
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # preempt inside the runs
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 20 * len(cycle_counts)
+        for cycles, observation in seen:
+            assert observation == expected[cycles], cycles
 
     def test_interpreter_pool_shares_the_warm_program(self, counter_spec):
         from repro.interp.interpreter import InterpreterBackend
@@ -154,7 +200,7 @@ class TestBackendDispatch:
             # the warm prepared interpreter program is shared by the pool
             assert pool.shared_program is not None
         assert batch.ok
-        assert len(prepares) == 1  # seeded once, reused per worker
+        assert len(prepares) == 1  # prepared once, reused by every run
         assert all(item.result.backend == "interpreter" for item in batch.items)
 
 
@@ -210,7 +256,9 @@ class TestModuleLevelRunBatch:
         batch = run_batch(request, max_workers=2)
         assert batch.ok
         assert batch.backend == "compiled"
-        assert batch.pool_size == 2
+        # the default serial strategy runs inline: one worker, whatever
+        # max_workers asks for
+        assert (batch.executor, batch.pool_size) == ("serial", 1)
         assert batch.prepare_seconds >= 0.0
 
     def test_per_item_seconds_recorded(self, counter_spec):

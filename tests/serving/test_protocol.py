@@ -155,12 +155,32 @@ class TestParseBatchRequest:
     def test_happy_path(self):
         batch = parse_batch_request(
             {"machine": "gcd", "runs": [{"cycles": 16}, {"tag": "b"}]},
-            default_backend="threaded", default_executor="thread",
+            default_backend="threaded", default_executor="serial",
         )
         assert batch.backend == "threaded"
-        assert batch.executor == "thread"
+        assert (batch.executor, batch.lane_width) == ("serial", None)
         assert len(batch.runs) == 2
         assert batch.label == "gcd"
+
+    @pytest.mark.parametrize("fields, server_width, resolved", [
+        ({"executor": "thread"}, None, ("serial", None)),
+        ({"executor": "thread"}, 8, ("serial", 8)),
+        ({"executor": "lane"}, None, ("serial", 16)),
+        ({"executor": "lane"}, 8, ("serial", 8)),
+        ({"executor": "lane", "lane_width": 4}, 8, ("serial", 4)),
+        ({"executor": "lane", "lane_width": 1}, None, ("serial", None)),
+        ({"executor": "process", "lane_width": 4}, None, ("process", 4)),
+        ({}, 8, ("serial", 8)),
+    ])
+    def test_executor_aliases_resolve_to_a_strategy(self, fields,
+                                                    server_width, resolved):
+        # the request's lane_width wins, then the server's, then the
+        # alias's own default (16 for lane)
+        batch = parse_batch_request(
+            {"machine": "gcd", "runs": [{}], **fields},
+            "threaded", "serial", server_width,
+        )
+        assert (batch.executor, batch.lane_width) == resolved
 
     def test_defaults_are_overridable(self):
         batch = parse_batch_request(
@@ -262,9 +282,17 @@ class TestShardIdentity:
         from repro.serving.protocol import shard_identity
 
         identity = shard_identity(
-            {"machine": "counter"}, "threaded", "thread"
+            {"machine": "counter"}, "threaded", "serial"
         )
-        assert identity == ("machine:counter", "threaded", "thread")
+        assert identity == ("machine:counter", "threaded", "serial")
+
+    @pytest.mark.parametrize("alias", ["thread", "lane"])
+    def test_aliases_shard_with_their_strategy(self, alias):
+        from repro.serving.protocol import shard_identity
+
+        assert shard_identity(
+            {"machine": "counter", "executor": alias}, "threaded", "serial"
+        ) == ("machine:counter", "threaded", "serial")
 
     def test_request_fields_override_defaults(self):
         from repro.serving.protocol import shard_identity

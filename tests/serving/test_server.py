@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -109,10 +110,11 @@ class TestPlumbing:
         status, document = get(server, "/v1/backends")
         assert status == 200
         for row in document["backends"]:
-            # every backend serves every strategy — backends without a
-            # generated lane entry point use the generic lane evaluator
+            # every backend serves both strategies (lanes included —
+            # backends without a generated lane entry point use the
+            # generic lane evaluator); aliases are input names only
             assert row["executors"] == list(EXECUTOR_NAMES)
-            assert "lane" in row["executors"]
+            assert row["executors"] == ["serial", "process"]
 
 
 
@@ -267,6 +269,28 @@ class TestEdge:
             assert json.loads(follow_up.read())["status"] == "ok"
         finally:
             connection.close()
+
+    def test_encoded_body_closes_the_connection(self, app):
+        # the edge reads Content-Length bodies only: a chunked body on a
+        # route that reads none must end the connection, never be parsed
+        # as the next request on it
+        received = b""
+        with socket.create_connection((app.host, app.port),
+                                      timeout=30) as raw:
+            raw.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                        b"Transfer-Encoding: chunked\r\n\r\n"
+                        b"5\r\nhello\r\n0\r\n\r\n")
+            try:
+                while chunk := raw.recv(65536):  # b"" once the server closes
+                    received += chunk
+            except ConnectionResetError:
+                pass  # closed with the body unread: the answer came first
+        head = received.split(b"\r\n\r\n", 1)[0].decode().split("\r\n")
+        assert head[0].startswith("HTTP/1.1 200")
+        assert "Connection: close" in head
+        # a fresh connection is served as usual
+        status, document = get(app, "/healthz")
+        assert status == 200 and document["status"] == "ok"
 
     @pytest.mark.parametrize("kind", ["node", "router"])
     def test_configurable_body_limit_answers_413(self, kind):
@@ -434,7 +458,7 @@ class TestServing:
         })
         assert status == 200
         assert document["ok"] is True
-        assert document["executor"] == "lane"
+        assert document["executor"] == "serial"  # the alias's strategy
 
         spec = get_machine("counter").build()
         with SimulationPool(spec, backend=backend,
@@ -445,6 +469,56 @@ class TestServing:
         for item, wire_item in zip(reference.items, document["items"]):
             rebuilt = result_from_json(wire_item["result"])
             assert compare_results(item.result, rebuilt) == []
+
+    @pytest.mark.parametrize("alias", ["thread", "lane"])
+    def test_alias_is_answered_as_serial_bit_identical(self, server, alias):
+        from repro.machines.library import get_machine
+
+        status, document = post(server, "/v1/batch", {
+            "machine": "gcd", "backend": "compiled", "executor": alias,
+            "runs": [{"cycles": 16, "inputs": [i, i + 1], "trace": False}
+                     for i in range(3)],
+        })
+        assert status == 200 and document["ok"] is True
+        assert document["executor"] == "serial"
+        status, single = post(server, "/v1/run", {
+            "machine": "gcd", "backend": "compiled", "executor": alias,
+            "cycles": 16, "inputs": [0, 1], "trace": False,
+        })
+        assert status == 200 and single["executor"] == "serial"
+
+        spec = get_machine("gcd").build()
+        with SimulationPool(spec, backend="compiled",
+                            executor="serial") as pool:
+            reference = pool.run_batch([
+                RunRequest(cycles=16, inputs=(i, i + 1), trace=False)
+                for i in range(3)
+            ])
+        wire = [item["result"] for item in document["items"]]
+        for item, result in zip(reference.items, wire, strict=True):
+            assert compare_results(item.result,
+                                   result_from_json(result)) == []
+        assert compare_results(reference.items[0].result,
+                               result_from_json(single["result"])) == []
+
+    def test_thread_and_serial_requests_share_one_pool(self):
+        with SimulationServer(port=0, artifact_cache=False) as fresh:
+            for executor in ("thread", "serial"):
+                status, _ = post(fresh, "/v1/run", {
+                    "machine": "counter", "cycles": 4, "executor": executor,
+                })
+                assert status == 200
+            pools = get(fresh, "/v1/stats")[1]["pools"]
+        assert [(row["machine"], row["executor"]) for row in pools] == [
+            ("counter", "serial")
+        ]
+
+    def test_unknown_executor_is_structured_400(self, server):
+        status, document = post(server, "/v1/run", {
+            "machine": "counter", "executor": "fiber",
+        })
+        assert status == 400
+        assert document["error"]["type"] == "unknown_executor"
 
     @pytest.mark.parametrize("bad_width", [0, -3, True, "wide"])
     def test_invalid_lane_width_is_structured_400(self, server, bad_width):

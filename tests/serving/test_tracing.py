@@ -2,11 +2,11 @@
 
 Four stories, each load-bearing for a different guarantee:
 
-* **Span completeness** — every bundled machine × backend × executor,
-  driven over real HTTP: every completed request yields a retrievable
-  trace whose spans nest inside their parents, whose union covers at
-  least 95% of the request wall time, and which always includes a
-  ``worker_run`` span.  Error items, deadline sheds and quarantined
+* **Span completeness** — every bundled machine × backend × executor
+  configuration (serial, serial with lanes, process), driven over real
+  HTTP: every completed request yields a retrievable trace whose spans
+  nest inside their parents, whose union covers at least 95% of the
+  request wall time, and which always includes a ``worker_run`` span.  Error items, deadline sheds and quarantined
   requests produce traces with a terminal ``error`` span — failed
   requests never vanish from observability.
 * **Exporter integrity** — JSONL lines parse back into equal
@@ -149,19 +149,31 @@ def assert_well_formed(trace: RequestTrace, require_worker_run=True) -> None:
         assert any(span.name == "worker_run" for span in spans), spans
 
 
+#: The executor configurations the span matrix covers: (strategy, lane
+#: width) as a request spells them.
+EXECUTOR_CONFIGS = {
+    "serial": ("serial", None),
+    "serial-lanes": ("serial", 16),
+    "process": ("process", None),
+}
+
+
 class TestSpanCompletenessMatrix:
-    """Every bundled machine × backend × executor, over real HTTP."""
+    """Every bundled machine × backend × executor configuration, over
+    real HTTP."""
 
     @pytest.mark.parametrize("machine", machine_names())
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    @pytest.mark.parametrize("config", sorted(EXECUTOR_CONFIGS))
     def test_every_completed_request_yields_a_complete_trace(
-        self, server, machine, backend, executor
+        self, server, machine, backend, config
     ):
+        executor, lane_width = EXECUTOR_CONFIGS[config]
         status, document, headers = post(server, "/v1/batch", {
             "machine": machine,
             "backend": backend,
             "executor": executor,
+            "lane_width": lane_width,
             "runs": [{"cycles": 8}, {"cycles": 8}],
         })
         assert status == 200, document
@@ -200,6 +212,7 @@ class TestSpanCompletenessMatrix:
         assert status == 200 and all(i["ok"] for i in document["items"])
         trace = fetch_trace(server, headers[TRACE_HEADER])
         assert_well_formed(trace)
+        assert trace.executor == "serial"  # the alias's strategy
         lanes = [span for span in trace.spans if span.name == "lane_group"]
         assert lanes, trace.spans
         # every lane slice nests inside its group span
@@ -207,6 +220,37 @@ class TestSpanCompletenessMatrix:
             if span.name == "worker_run" and span.item is not None:
                 parent = trace.spans[span.parent]
                 assert parent.name in ("lane_group", "executor_dispatch")
+
+    @pytest.mark.parametrize("executor, lane_width", [
+        ("lane", None), ("serial", 4),
+    ])
+    def test_lane_configurations_emit_lane_group_spans(
+        self, counter_spec, executor, lane_width
+    ):
+        # the lane alias and a serial pool with a width are one
+        # configuration: both group compatible runs into lane groups
+        with SimulationPool(counter_spec, executor=executor,
+                            lane_width=lane_width) as pool:
+            result = pool.run_batch([RunRequest(cycles=8, trace=False)] * 3)
+        assert result.ok and result.executor == "serial"
+        for item in result.items:
+            names = [span.name for span in item.spans]
+            assert names == ["pool_queue", "lane_group", "worker_run"], names
+
+    def test_server_lane_width_groups_default_requests(self):
+        # --lane-width applies to the default (serial) pools, not only to
+        # process pools and lane requests
+        with SimulationServer(port=0, artifact_cache=False,
+                              lane_width=4) as lanes:
+            status, document, headers = post(lanes, "/v1/batch", {
+                "machine": "counter",
+                "runs": [{"cycles": 8, "trace": False}] * 3,
+            })
+            assert status == 200 and document["executor"] == "serial"
+            trace = fetch_trace(lanes, headers[TRACE_HEADER])
+        assert_well_formed(trace)
+        groups = [span for span in trace.spans if span.name == "lane_group"]
+        assert groups and all(span.detail == "lanes=3" for span in groups)
 
     def test_client_supplied_trace_id_is_echoed(self, server):
         chosen = make_trace_id()
@@ -246,7 +290,7 @@ class TestErrorTraces:
         # interrupted, and either way its trace records a terminal error
         status, document, headers = post(server, "/v1/batch", {
             "machine": "counter",
-            "executor": "thread",
+            "executor": "serial",
             "runs": [
                 {"cycles": 2_000_000, "timeout_seconds": 0.001},
                 {"cycles": 4},
@@ -318,7 +362,7 @@ def make_trace(trace_id="t-1", spans=None) -> RequestTrace:
     return RequestTrace(
         trace_id=trace_id, route="/v1/run", status=200,
         started=1700000000.0, duration=1.0, spans=tuple(spans),
-        label="counter", backend="threaded", executor="thread",
+        label="counter", backend="threaded", executor="serial",
     )
 
 
