@@ -169,10 +169,8 @@ def test_server_overhead_table(benchmark):
     def measure() -> dict[str, dict]:
         rows: dict[str, dict] = {}
         trace_dir = tempfile.mkdtemp(prefix="repro-bench-traces-")
-        with SimulationServer(port=0, artifact_cache=False,
-                              tracing=False) as server, \
-             SimulationServer(port=0, artifact_cache=False,
-                              trace_sink="jsonl",
+        with SimulationServer(port=0, tracing=False) as server, \
+             SimulationServer(port=0, trace_sink="jsonl",
                               trace_dir=trace_dir) as traced_server:
             for backend in BACKENDS:
                 requests = [RunRequest(cycles=CYCLES, collect_stats=False,
@@ -222,8 +220,8 @@ def test_server_overhead_table(benchmark):
                 }
         # the same single-run workload through a routed fleet: what the
         # extra hop (router parse + shard + forward) adds to the tail
-        with ServingFleet(nodes=FLEET_NODES, quorum=1, health_interval=0.2,
-                          child_args=["--no-disk-cache"]) as fleet:
+        with ServingFleet(nodes=FLEET_NODES, quorum=1,
+                          health_interval=0.2) as fleet:
             for backend in BACKENDS:
                 _run_latencies_ms(fleet.url, backend, 2)  # warm the home pool
                 routed = _run_latencies_ms(fleet.url, backend,

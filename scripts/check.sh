@@ -19,7 +19,7 @@ echo "== server smoke (boot, /healthz, one /v1/run, hostile bodies, graceful shu
 # body that is not UTF-8 with a structured 400, keep a kept-alive
 # connection in sync past a GET body, then drain cleanly — so the
 # serving front door cannot rot between full test runs
-REPRO_CACHE_DIR="$(mktemp -d)" python - <<'SMOKE'
+python - <<'SMOKE'
 import http.client, json, sys, urllib.request
 from repro.serving import SimulationServer
 
@@ -64,7 +64,7 @@ echo "== fleet smoke (boot 2 nodes, route a run, SIGKILL failover, rolling drain
 # node that answered (the sibling serves the retry, attributed in the
 # X-Repro-Retry header), then drain node by node — so the failover
 # story cannot rot between full chaos-test runs
-REPRO_CACHE_DIR="$(mktemp -d)" python - <<'FLEETSMOKE'
+python - <<'FLEETSMOKE'
 import json, urllib.request
 from repro.serving.chaos import await_condition, hard_kill
 from repro.serving.protocol import NODE_HEADER, RETRY_HEADER
@@ -77,8 +77,7 @@ def run(url):
             url + "/v1/run", data=body), timeout=60) as r:
         return json.loads(r.read()), dict(r.headers)
 
-fleet = ServingFleet(nodes=2, quorum=1, health_interval=0.1,
-                     child_args=["--no-disk-cache"]).start()
+fleet = ServingFleet(nodes=2, quorum=1, health_interval=0.1).start()
 try:
     first, headers = run(fleet.url)
     assert first["result"]["cycles_run"] == 24, first
@@ -103,7 +102,7 @@ echo "== tracing smoke (traced batch, JSONL export, /metrics scrape) =="
 # tiling the request interval, worker_run spans present — in the JSONL
 # export, and /metrics must answer Prometheus text — so the
 # observability pipeline cannot silently rot between full test runs
-TRACE_DIR="$(mktemp -d)" REPRO_CACHE_DIR="$(mktemp -d)" python - <<'TRACESMOKE'
+TRACE_DIR="$(mktemp -d)" python - <<'TRACESMOKE'
 import json, os, urllib.request
 from repro.serving import SimulationServer
 from repro.serving.tracing import JsonlExporter, coverage_fraction
@@ -177,6 +176,48 @@ python -m repro serve-batch "$LANE_SPEC" --executor thread --check \
     -c 1200 -n 8 -b compiled > /dev/null
 rm -f "$LANE_SPEC"
 echo "lane smoke: batches served and verified bit-identical"
+
+echo "== spawn smoke (compiled sieve process pool, spawn start method) =="
+# spawn is the start method that pickles the pool's warm prepared
+# simulation into every worker (fork inherits it): a compiled sieve batch
+# on spawned workers must match a sequential run bit for bit, statistics
+# included — so the one transport to process workers cannot rot.  The
+# script is a file with a __main__ guard: a spawned worker re-imports
+# the main module, which it cannot do from stdin
+SPAWN_SMOKE="$(mktemp --suffix=.py)"
+cat > "$SPAWN_SMOKE" <<'SPAWNSMOKE'
+from repro.core.comparison import compare_results
+from repro.core.simulator import make_backend
+from repro.machines.library import get_machine
+from repro.serving import RunRequest, SimulationPool
+
+
+def main():
+    machine = get_machine("stack-machine-sieve").build()
+    spec = getattr(machine, "spec", machine)
+    runs = [RunRequest(cycles=1200), RunRequest(cycles=600),
+            RunRequest(cycles=1200, collect_stats=False)]
+    prepared = make_backend("compiled").prepare(spec)
+    sequential = [prepared.run(cycles=run.cycles, io=run.make_io(),
+                               collect_stats=run.collect_stats)
+                  for run in runs]
+    with SimulationPool(spec, backend="compiled", executor="process",
+                        max_workers=2, chunk_size=1,
+                        mp_context="spawn") as pool:
+        batch = pool.run_batch(runs)
+    assert batch.ok, [str(item.error) for item in batch.failures]
+    for reference, item in zip(sequential, batch.items):
+        assert compare_results(reference, item.result, compare_trace=True,
+                               compare_stats=True) == [], item.index
+    print(f"spawn smoke: {len(runs)} compiled sieve runs on spawned "
+          "workers bit-identical to sequential")
+
+
+if __name__ == "__main__":
+    main()
+SPAWNSMOKE
+python "$SPAWN_SMOKE"
+rm -f "$SPAWN_SMOKE"
 
 echo "== lane fuzz smoke (fixed seed, lane executor only) =="
 # a seeded slice of the differential fuzzer pinned to the lane alias

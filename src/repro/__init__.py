@@ -17,12 +17,11 @@ The package is organised around the paper's two systems and their substrate:
 * :mod:`repro.serving` — batch/parallel serving: one cached prepare
   artifact fanned out over many concurrent runs on one of two execution
   strategies — serial (inline), or a true multi-core process pool (the
-  lowered program ships to workers once; the persistent artifact cache
-  makes their cold start nearly free), each with optional lane groups —
-  plus an asyncio front-end and the long-lived HTTP server (``repro
-  serve``): warm pools kept across client requests behind a JSON API,
-  with startup garbage collection of the artifact cache (see
-  ``docs/api-reference.md`` / ``docs/serving.md``).
+  warm prepared simulation ships to each worker once), each with
+  optional lane groups — plus an asyncio front-end and the long-lived
+  HTTP server (``repro serve``): warm pools kept across client requests
+  behind a JSON API (see ``docs/api-reference.md`` /
+  ``docs/serving.md``).
 """
 
 # repro.core must initialise before repro.compiler: the comparison module

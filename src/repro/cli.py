@@ -19,11 +19,7 @@ executable code".  This module provides the modern equivalent as
   sequential run;
 * ``serve``    — the long-lived simulation server: pools kept warm behind
   an HTTP JSON API (:mod:`repro.serving.server`; endpoints documented in
-  ``docs/api-reference.md``), with startup garbage collection of the
-  persistent artifact cache;
-* ``cache``    — inspect (``cache info``) or garbage-collect
-  (``cache prune --max-bytes/--max-age``) the persistent artifact cache
-  under ``$REPRO_CACHE_DIR``;
+  ``docs/api-reference.md``);
 * ``spec``     — convert specifications between the paper's text form and
   the versioned JSON interchange format (``spec export``;
   :mod:`repro.rtl.interchange`, documented in ``docs/spec-format.md``) or
@@ -62,13 +58,9 @@ def _add_spec_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: Multipliers for the human-readable size suffixes ``repro cache``/``serve``
-#: accept (``64k``, ``256m``, ``2g``; bare numbers are bytes).
+#: Multipliers for the human-readable size suffixes ``repro serve``
+#: accepts (``64k``, ``256m``, ``2g``; bare numbers are bytes).
 _SIZE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-
-#: Multipliers for the age suffixes (``90s``, ``12h``, ``7d``; bare numbers
-#: are seconds).
-_AGE_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
 
 def parse_size(text: str) -> int:
@@ -86,25 +78,6 @@ def parse_size(text: str) -> int:
         ) from None
     if value < 0:
         raise argparse.ArgumentTypeError("byte size must be >= 0")
-    return value * multiplier
-
-
-def parse_age(text: str) -> float:
-    """``"7d"`` -> seconds; raises ``argparse.ArgumentTypeError`` on junk."""
-    text = text.strip().lower()
-    multiplier = 1.0
-    if text and text[-1] in _AGE_SUFFIXES:
-        multiplier = _AGE_SUFFIXES[text[-1]]
-        text = text[:-1]
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an age like '3600' (seconds), '12h' or '7d', "
-            f"got '{text}'"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("age must be >= 0")
     return value * multiplier
 
 
@@ -258,22 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'lane_width' (default: scalar, 16 for 'lane' requests)",
     )
     server_parser.add_argument(
-        "--cache-max-bytes", type=parse_size, default="256m",
-        metavar="SIZE",
-        help="byte budget the artifact cache is pruned down to at startup "
-        "(accepts k/m/g suffixes; default: 256m)",
-    )
-    server_parser.add_argument(
-        "--cache-max-age", type=parse_age, default=None, metavar="AGE",
-        help="evict artifacts unused for longer than this at startup "
-        "(accepts s/m/h/d suffixes; default: no age limit)",
-    )
-    server_parser.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="run without the persistent artifact cache (no pruning, "
-        "no worker cold-start seeding)",
-    )
-    server_parser.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
         help="admission gate: simulation requests executing concurrently "
         "(on serial pools, each inline on its connection's thread) before "
@@ -390,10 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "default: 64)",
     )
     fleet_parser.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="run the children without the persistent artifact cache",
-    )
-    fleet_parser.add_argument(
         "--quorum", type=int, default=None, metavar="N",
         help="ready nodes /readyz requires (default: a majority, N//2+1)",
     )
@@ -428,41 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-dir", type=Path, default=None, metavar="DIR",
         help="trace export root; each child writes into its own "
         "DIR/<node-id>/ subdirectory (required with --trace-sink)",
-    )
-
-    cache_parser = subparsers.add_parser(
-        "cache",
-        help="inspect or garbage-collect the persistent artifact cache",
-    )
-    cache_sub = cache_parser.add_subparsers(dest="cache_command",
-                                            required=True)
-    cache_info = cache_sub.add_parser(
-        "info", help="show the cache directory, entry counts and size"
-    )
-    cache_info.add_argument(
-        "--dir", type=Path, default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or the per-user "
-        "temp directory)",
-    )
-    cache_prune = cache_sub.add_parser(
-        "prune",
-        help="evict least-recently-used artifacts down to a byte budget "
-        "and/or age limit; corrupted entries and stale temp files are "
-        "always removed",
-    )
-    cache_prune.add_argument(
-        "--dir", type=Path, default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or the per-user "
-        "temp directory)",
-    )
-    cache_prune.add_argument(
-        "--max-bytes", type=parse_size, default=None, metavar="SIZE",
-        help="byte budget to prune down to (k/m/g suffixes accepted)",
-    )
-    cache_prune.add_argument(
-        "--max-age", type=parse_age, default=None, metavar="AGE",
-        help="evict artifacts unused for longer than this "
-        "(s/m/h/d suffixes accepted)",
     )
 
     spec_parser = subparsers.add_parser(
@@ -676,9 +594,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         chunk_size=args.chunk_size,
         lane_width=args.lane_width,
-        artifact_cache=False if args.no_disk_cache else None,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_max_age=args.cache_max_age,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         retry_after=args.retry_after,
@@ -694,8 +609,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
         trace_ring=args.trace_ring,
     )
-    if server.startup_prune is not None and server.startup_prune.removed_files:
-        print(f"cache prune: {server.startup_prune.summary()}")
     print(f"serving on {server.url} (backend={args.backend}, "
           f"executor={args.executor}); Ctrl-C to stop")
     if args.port_file is not None:
@@ -734,8 +647,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         child_args += ["--timeout", str(args.timeout)]
     if args.max_inflight is not None:
         child_args += ["--max-inflight", str(args.max_inflight)]
-    if args.no_disk_cache:
-        child_args += ["--no-disk-cache"]
     child_args += ["--max-pools", str(args.max_pools)]
     fleet = ServingFleet(
         nodes=args.nodes,
@@ -774,18 +685,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
                 if entry["forced"] else "already down"
             )
             print(f"  {entry['node']}: {label} ({entry['seconds']:.1f}s)")
-    return 0
-
-
-def _command_cache(args: argparse.Namespace) -> int:
-    from repro.compiler.cache import DiskCache
-
-    cache = DiskCache(args.dir)
-    if args.cache_command == "info":
-        print(cache.info().summary())
-        return 0
-    report = cache.prune(max_bytes=args.max_bytes, max_age=args.max_age)
-    print(report.summary())
     return 0
 
 
@@ -868,7 +767,6 @@ _COMMANDS = {
     "serve-batch": _command_serve_batch,
     "serve": _command_serve,
     "fleet": _command_fleet,
-    "cache": _command_cache,
     "spec": _command_spec,
     "fuzz": _command_fuzz,
 }

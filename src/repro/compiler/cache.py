@@ -10,47 +10,19 @@ artifact — on a stable content hash of the specification plus the exact
 spec-level pass configuration, so a repeated ``prepare()`` of the same
 (spec, passes) pair skips lowering entirely.  Backend-private derivations
 (closure plans, generated modules) are memoized *on* the cached program
-(``CycleProgram.artifact``), so they are shared too while the cache itself
-stays picklable-friendly.
+(``CycleProgram.artifact``), so they are shared too.
 
-Two cache layers live here:
-
-* :class:`PrepareCache` — the in-process bounded LRU, safe to share
-  between threads (and picklable: entries survive, locks are rebuilt);
-* :class:`DiskCache` — the persistent on-disk artifact store keyed on the
-  same ``spec_fingerprint`` plus an :func:`artifact_key` of the exact
-  option set.  It holds the pickled lowered IR and the compiled backend's
-  generated Python source, written atomically (temp file + ``os.replace``)
-  and loaded corruption-safely (any damaged or stale file reads as a
-  miss, never an error).  This is what lets a freshly spawned worker
-  process — the process-pool execution engine in :mod:`repro.serving` —
-  skip lowering and code generation entirely: its cold-start cost drops
-  to one byte-compile of an on-disk source file.  The directory defaults
-  to ``$REPRO_CACHE_DIR`` or a per-user temp directory.
-
-The disk layer would otherwise grow without bound (one ``.ir`` and one
-``.py`` per (machine, option set) ever served), so it also carries its
-own garbage collector: :meth:`DiskCache.prune` evicts least-recently-used
-entries (successful loads touch the file mtime, so mtime order *is* use
-order) down to a byte budget and/or an age limit, removes corrupted or
-version-stale entries outright, and collects temp files orphaned by a
-crashed writer.  Pruning is concurrent-safe — a file that disappears
-mid-scan is simply someone else's eviction — and the long-lived
-simulation server (:mod:`repro.serving.server`) runs it at startup so a
-persistent deployment stays inside its configured budget.
+:class:`PrepareCache` is an in-process bounded LRU, safe to share between
+threads.  Process-pool workers do not consult it: each receives the
+pool's warm prepared simulation (see :mod:`repro.serving.executor`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import tempfile
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from repro.rtl.spec import Specification
@@ -143,17 +115,6 @@ class PrepareCache:
             self._entries.clear()
             self.stats = CacheStats()
 
-    def __getstate__(self) -> dict:
-        # entries are backend-neutral lowered programs, themselves picklable;
-        # only the lock must be rebuilt on the other side
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
 
 #: Process-wide cache shared by the compiled and threaded backends.
 GLOBAL_PREPARE_CACHE = PrepareCache()
@@ -180,525 +141,3 @@ def resolve_cache(cache: "PrepareCache | bool | None") -> PrepareCache | None:
     if cache is True or cache is None:
         return GLOBAL_PREPARE_CACHE
     return cache
-
-
-# ---------------------------------------------------------------------------
-# The persistent on-disk artifact cache
-# ---------------------------------------------------------------------------
-
-#: Environment variable overriding the default cache directory.
-DISK_CACHE_ENV = "REPRO_CACHE_DIR"
-
-#: Bump when the on-disk layout or pickle payload shape changes; files
-#: written under another version read as misses, never as errors.
-DISK_FORMAT_VERSION = 1
-
-
-def _code_version() -> str:
-    """The package version stamped into every artifact.
-
-    Generated source and the lowered IR depend on the code that produced
-    them (a codegen fix must not keep serving pre-fix modules), so a
-    version mismatch reads as a miss and the entry is rebuilt.  Imported
-    lazily: this module loads during the package's own initialisation.
-    """
-    try:
-        from repro import __version__
-
-        return __version__
-    except ImportError:  # pragma: no cover - mid-initialisation fallback
-        return "unknown"
-
-
-def _source_header() -> str:
-    """Marker line prefixing cached text artifacts (detects truncation,
-    garbage, and artifacts generated by another repro version)."""
-    return (
-        f"# repro-artifact-cache format={DISK_FORMAT_VERSION} "
-        f"version={_code_version()}\n"
-    )
-
-
-def artifact_key(*parts) -> str:
-    """Short stable digest of an option set, usable in cache file names.
-
-    *parts* must have deterministic ``repr`` (frozen dataclasses, strings,
-    numbers) — the same property :meth:`PrepareCache.key_for` relies on for
-    hashability.
-    """
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
-
-
-def _current_uid() -> int | None:
-    """The caller's numeric uid, or ``None`` where the concept is absent."""
-    getuid = getattr(os, "getuid", None)
-    return getuid() if getuid is not None else None
-
-
-def default_cache_dir() -> Path:
-    """The disk cache root: ``$REPRO_CACHE_DIR`` or a per-user temp dir."""
-    override = os.environ.get(DISK_CACHE_ENV)
-    if override:
-        return Path(override)
-    uid = _current_uid()
-    suffix = str(uid) if uid is not None else os.environ.get("USERNAME", "user")
-    return Path(tempfile.gettempdir()) / f"repro-artifacts-{suffix}"
-
-
-#: Writer temp files older than this are collected by :meth:`DiskCache.prune`
-#: (an atomic write renames its temp file within milliseconds; anything this
-#: old was orphaned by a crashed writer).
-STALE_TMP_SECONDS = 3600.0
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One file in the disk cache: artifact (``ir``/``py``) or orphaned
-    writer temp file (``tmp``)."""
-
-    path: Path
-    kind: str
-    size: int
-    mtime: float
-
-
-@dataclass(frozen=True)
-class CacheInfo:
-    """Point-in-time summary of a cache directory (``repro cache info``)."""
-
-    root: Path
-    files: int
-    total_bytes: int
-    by_kind: dict[str, int]
-
-    def summary(self) -> str:
-        kinds = ", ".join(
-            f"{count} {kind}" for kind, count in sorted(self.by_kind.items())
-        ) or "empty"
-        return (
-            f"{self.root}: {self.files} files, {self.total_bytes} bytes "
-            f"({kinds})"
-        )
-
-
-@dataclass
-class PruneReport:
-    """What one :meth:`DiskCache.prune` pass scanned and removed."""
-
-    root: Path
-    scanned_files: int = 0
-    scanned_bytes: int = 0
-    removed_corrupt: int = 0
-    removed_expired: int = 0
-    removed_evicted: int = 0
-    removed_stale_tmp: int = 0
-    removed_bytes: int = 0
-    remaining_files: int = 0
-    remaining_bytes: int = 0
-
-    @property
-    def removed_files(self) -> int:
-        return (
-            self.removed_corrupt + self.removed_expired
-            + self.removed_evicted + self.removed_stale_tmp
-        )
-
-    def summary(self) -> str:
-        return (
-            f"{self.root}: removed {self.removed_files}/{self.scanned_files} "
-            f"files ({self.removed_bytes} bytes: {self.removed_evicted} "
-            f"evicted, {self.removed_expired} expired, "
-            f"{self.removed_corrupt} corrupt, {self.removed_stale_tmp} stale "
-            f"tmp); {self.remaining_files} files / {self.remaining_bytes} "
-            "bytes remain"
-        )
-
-
-class DiskCache:
-    """Persistent artifact store keyed on (fingerprint, options key).
-
-    Two artifact kinds are stored, one file each per key:
-
-    * ``.ir``  — the pickled backend-neutral lowered program
-      (:class:`~repro.lowering.program.CycleProgram`);
-    * ``.py``  — the compiled backend's generated module source (plain
-      text behind a format-version header; byte-compiling it is the only
-      preparation work left for a reader).
-
-    Writes are atomic — the payload lands in a uniquely named temp file in
-    the same directory and is ``os.replace``d over the final name — so
-    concurrent writers (many worker processes warming the same machine)
-    never interleave bytes; whichever rename lands last wins with a
-    complete file.  Loads are corruption-safe: a truncated, garbled or
-    version-mismatched file is treated as a miss and the caller rebuilds
-    (optionally overwriting the bad file with a good one).
-
-    Loading the IR means unpickling, and unpickling executes code, so the
-    cache only ever *reads* from a directory the current user owns: the
-    root is created ``0700``, and when it already exists but belongs to
-    another uid (say, a squatter pre-created the well-known temp path)
-    every load is treated as a miss — the cache degrades to write-only
-    rather than executing someone else's bytes.
-    """
-
-    def __init__(self, root: str | Path | None = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.stats = CacheStats()
-        #: set once a write has failed (disk full, unwritable root, torn
-        #: rename): the cache keeps serving reads but new artifacts stay
-        #: in memory only — the request that triggered the write succeeds
-        self.degraded = False
-        #: how many writes have failed since construction
-        self.write_errors = 0
-        # Counter mutations arrive from every server thread at once (pool
-        # warm-ups, prune): ``+=`` on a plain int is a read-modify-write
-        # and silently loses updates without this lock.
-        self._counter_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        # same shape as PrepareCache: only the lock must be rebuilt on
-        # the other side of a pickle
-        state = dict(self.__dict__)
-        del state["_counter_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._counter_lock = threading.Lock()
-
-    def _count_hit(self) -> None:
-        with self._counter_lock:
-            self.stats.hits += 1
-
-    def _count_miss(self) -> None:
-        with self._counter_lock:
-            self.stats.misses += 1
-
-    def _root_trusted(self) -> bool:
-        """True when the root exists and provably belongs to this user.
-
-        Fails closed: where ownership cannot be established (no
-        ``os.getuid``, unreadable root) nothing is ever read — the cache
-        degrades to write-only rather than unpickling unverifiable bytes.
-        """
-        uid = _current_uid()
-        if uid is None:
-            return False
-        try:
-            owner = os.stat(self.root).st_uid
-        except OSError:
-            return False
-        return owner == uid
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DiskCache({str(self.root)!r})"
-
-    def path_for(self, fingerprint: str, key: str, kind: str) -> Path:
-        """The artifact file for one (fingerprint, options key, kind)."""
-        return self.root / f"{fingerprint}-{key}.{kind}"
-
-    # -- atomic write / corruption-safe read ---------------------------------
-
-    def _write_atomic(self, path: Path, payload: bytes) -> Path | None:
-        """Write one artifact atomically; ``None`` when the disk failed.
-
-        A failing disk (full, read-only, yanked) must never fail the
-        request that merely tried to *cache* something: any ``OSError``
-        degrades this cache to memory-only for the offending write — a
-        warning on the first failure, a counter after that — and the
-        caller proceeds exactly as on a cache miss.
-        """
-        try:
-            self.root.mkdir(mode=0o700, parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=path.name + ".tmp-"
-            )
-        except OSError as exc:
-            self._note_write_failure(exc)
-            return None
-        try:
-            with os.fdopen(handle, "wb") as tmp:
-                tmp.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            if isinstance(exc, OSError):
-                self._note_write_failure(exc)
-                return None
-            raise
-        return path
-
-    def _note_write_failure(self, exc: OSError) -> None:
-        with self._counter_lock:
-            self.write_errors += 1
-            first = not self.degraded
-            self.degraded = True
-        if first:
-            import warnings
-
-            warnings.warn(
-                f"artifact cache at {self.root} is degraded to memory-only: "
-                f"write failed with {type(exc).__name__}: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def _read(self, path: Path) -> bytes | None:
-        if not self._root_trusted():
-            self._count_miss()
-            return None
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            self._count_miss()
-            return None
-        return payload
-
-    def _touch(self, path: Path) -> None:
-        """Mark *path* recently used, so mtime order is LRU order for
-        :meth:`prune`.  Best-effort: a concurrent eviction is fine."""
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
-
-    # -- lowered programs ----------------------------------------------------
-
-    def store_program(self, fingerprint: str, key: str, program) -> Path | None:
-        """Persist a lowered program (pickled behind a version header).
-        Returns ``None`` when the disk failed (cache degrades, see
-        :meth:`_write_atomic`)."""
-        payload = pickle.dumps(
-            {
-                "format": DISK_FORMAT_VERSION,
-                "version": _code_version(),
-                "artifact": program,
-            }
-        )
-        return self._write_atomic(self.path_for(fingerprint, key, "ir"), payload)
-
-    def load_program(self, fingerprint: str, key: str):
-        """Load a lowered program, or ``None`` on any miss or damage."""
-        payload = self._read(self.path_for(fingerprint, key, "ir"))
-        if payload is None:
-            return None
-        try:
-            document = pickle.loads(payload)
-            if document["format"] != DISK_FORMAT_VERSION:
-                raise ValueError("format version mismatch")
-            if document["version"] != _code_version():
-                raise ValueError("produced by another repro version")
-            artifact = document["artifact"]
-        except Exception:  # corruption-safe: damaged file == miss
-            self._count_miss()
-            return None
-        self._count_hit()
-        self._touch(self.path_for(fingerprint, key, "ir"))
-        return artifact
-
-    # -- generated source ----------------------------------------------------
-
-    def store_source(self, fingerprint: str, key: str, source: str) -> Path | None:
-        """Persist a generated Python module source.  Returns ``None``
-        when the disk failed (cache degrades, see :meth:`_write_atomic`)."""
-        payload = (_source_header() + source).encode()
-        return self._write_atomic(self.path_for(fingerprint, key, "py"), payload)
-
-    def load_source(self, fingerprint: str, key: str) -> str | None:
-        """Load a generated source, or ``None`` on any miss or damage."""
-        payload = self._read(self.path_for(fingerprint, key, "py"))
-        if payload is None:
-            return None
-        try:
-            text = payload.decode()
-        except UnicodeDecodeError:
-            self._count_miss()
-            return None
-        header = _source_header()
-        if not text.startswith(header):
-            self._count_miss()
-            return None
-        self._count_hit()
-        self._touch(self.path_for(fingerprint, key, "py"))
-        return text[len(header):]
-
-    # -- introspection and garbage collection --------------------------------
-
-    def entries(self) -> "list[CacheEntry]":
-        """Every artifact file currently in the cache directory.
-
-        Orphaned writer temp files (``*.tmp-*`` left by a crashed process)
-        are reported with ``kind="tmp"``; unknown files are ignored.  The
-        scan is concurrent-safe: a file deleted mid-scan is skipped.
-        """
-        found: list[CacheEntry] = []
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return found
-        for name in sorted(names):
-            path = self.root / name
-            if ".tmp-" in name:
-                kind = "tmp"
-            elif name.endswith(".ir"):
-                kind = "ir"
-            elif name.endswith(".py"):
-                kind = "py"
-            else:
-                continue
-            try:
-                info = os.stat(path)
-            except OSError:  # concurrently evicted
-                continue
-            found.append(
-                CacheEntry(
-                    path=path, kind=kind, size=info.st_size,
-                    mtime=info.st_mtime,
-                )
-            )
-        return found
-
-    def info(self) -> "CacheInfo":
-        """Size and entry-count summary of the cache directory."""
-        entries = self.entries()
-        by_kind: dict[str, int] = {}
-        for entry in entries:
-            by_kind[entry.kind] = by_kind.get(entry.kind, 0) + 1
-        return CacheInfo(
-            root=self.root,
-            files=len(entries),
-            total_bytes=sum(entry.size for entry in entries),
-            by_kind=by_kind,
-        )
-
-    def _entry_valid(self, entry: "CacheEntry") -> bool:
-        """True when *entry* would load as a hit (right header, right
-        version, unpicklable-garbage-free).  Used by :meth:`prune` to
-        remove corrupted or stale-version files outright."""
-        try:
-            payload = entry.path.read_bytes()
-        except OSError:  # concurrently evicted: nothing to validate
-            return True
-        if entry.kind == "ir":
-            try:
-                document = pickle.loads(payload)
-                return (
-                    document["format"] == DISK_FORMAT_VERSION
-                    and document["version"] == _code_version()
-                )
-            except Exception:
-                return False
-        try:
-            return payload.decode().startswith(_source_header())
-        except UnicodeDecodeError:
-            return False
-
-    def _remove(self, entry: "CacheEntry") -> int:
-        """Unlink one entry; returns the bytes freed (0 if someone else
-        evicted it first — concurrent prunes never error)."""
-        try:
-            os.unlink(entry.path)
-        except OSError:
-            return 0
-        return entry.size
-
-    def prune(
-        self,
-        max_bytes: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-        validate: bool = True,
-    ) -> "PruneReport":
-        """Garbage-collect the artifact directory; returns what happened.
-
-        Three passes, in order:
-
-        1. **integrity** (``validate=True``): corrupted, truncated or
-           version-stale entries — which can only ever read as misses —
-           are deleted, as are writer temp files older than
-           ``STALE_TMP_SECONDS`` (a crashed writer's leftovers; live
-           writers are younger than that by construction).
-        2. **age** (``max_age`` seconds): entries whose mtime is older
-           than ``now - max_age`` are deleted.  Loads touch mtime, so
-           this is time-since-last-use, not time-since-creation.
-        3. **size** (``max_bytes``): while the surviving entries total
-           more than the budget, the least recently used one (oldest
-           mtime) is evicted.  ``max_bytes=0`` empties the cache.
-
-        Every removal tolerates a concurrent unlink (the file simply
-        counts as freed by the other party), so many servers may prune
-        one directory at once; atomic writes guarantee a concurrent
-        ``load`` sees either a complete entry or a miss, never a torn
-        file.
-        """
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        if max_age is not None and max_age < 0:
-            raise ValueError(f"max_age must be >= 0, got {max_age}")
-        if now is None:
-            now = time.time()
-        entries = self.entries()
-        report = PruneReport(
-            root=self.root,
-            scanned_files=len(entries),
-            scanned_bytes=sum(entry.size for entry in entries),
-        )
-        survivors: list[CacheEntry] = []
-        # fresh temp files belong to a live writer mid-atomic-write: they
-        # are exempt from the age and byte-budget passes (deleting one
-        # would break the writer's os.replace), only staleness collects them
-        fresh_tmp: list[CacheEntry] = []
-        for entry in entries:
-            if entry.kind == "tmp":
-                if now - entry.mtime >= STALE_TMP_SECONDS:
-                    report.removed_stale_tmp += 1
-                    report.removed_bytes += self._remove(entry)
-                else:
-                    fresh_tmp.append(entry)
-                continue
-            if validate and not self._entry_valid(entry):
-                report.removed_corrupt += 1
-                report.removed_bytes += self._remove(entry)
-                continue
-            if max_age is not None and now - entry.mtime > max_age:
-                report.removed_expired += 1
-                report.removed_bytes += self._remove(entry)
-                continue
-            survivors.append(entry)
-        if max_bytes is not None:
-            # oldest mtime first: loads touch their file, so this is LRU
-            ordered = sorted(survivors, key=lambda e: e.mtime)
-            total = sum(entry.size for entry in ordered)
-            survivors = []
-            for entry in ordered:
-                if total > max_bytes:
-                    report.removed_bytes += self._remove(entry)
-                    total -= entry.size
-                    report.removed_evicted += 1
-                    with self._counter_lock:
-                        self.stats.evictions += 1
-                else:
-                    survivors.append(entry)
-        survivors += fresh_tmp
-        report.remaining_files = len(survivors)
-        report.remaining_bytes = sum(entry.size for entry in survivors)
-        return report
-
-
-def resolve_disk(disk: "DiskCache | str | Path | bool | None") -> DiskCache | None:
-    """Normalise the ``disk`` argument backends accept.
-
-    ``None``/``False`` disable the layer, ``True`` selects the default
-    directory (:func:`default_cache_dir`), a path roots a cache there, a
-    :class:`DiskCache` instance is used as-is.
-    """
-    if disk is None or disk is False:
-        return None
-    if disk is True:
-        return DiskCache()
-    if isinstance(disk, (str, Path)):
-        return DiskCache(disk)
-    return disk

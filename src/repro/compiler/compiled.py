@@ -36,22 +36,22 @@ Two optional performance layers wrap the paper's pipeline:
 * spec-level optimization (:mod:`repro.compiler.specopt`, opt-in via
   ``specopt=True``) shrinks the specification inside the lowering pipeline
   before code generation.
+
+A :class:`CompiledSimulation` pickles: it keeps its generated ``source``,
+and unpickling byte-compiles that source and loads the entry points with
+the same loader ``prepare`` uses — no lowering, no code generation.  That
+is how a process-pool worker started with ``spawn`` or ``forkserver``
+receives the pool's warm simulation (:mod:`repro.serving.executor`).
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Iterable
+from types import CodeType
+from typing import Iterable
 
-from repro.compiler.cache import (
-    DiskCache,
-    PrepareCache,
-    artifact_key,
-    resolve_cache,
-    resolve_disk,
-    spec_fingerprint,
-)
+from repro.compiler.cache import PrepareCache, resolve_cache
 from repro.compiler.codegen_python import generate_program_python
 from repro.compiler.optimizer import CodegenOptions
 from repro.compiler.specopt import SpecOptPasses, SpecOptReport, resolve_passes
@@ -79,13 +79,10 @@ class CompiledSimulation(PreparedSimulation):
         spec: Specification,
         program: CycleProgram,
         source: str,
-        simulate: Callable,
-        simulate_instrumented: Callable,
-        simulate_full: Callable | None,
+        code: CodeType,
         generate_seconds: float,
         compile_seconds: float,
         cache_hit: bool = False,
-        simulate_lanes: Callable | None = None,
     ) -> None:
         super().__init__(
             spec,
@@ -106,10 +103,35 @@ class CompiledSimulation(PreparedSimulation):
         self.optimization: SpecOptReport | None = program.optimization
         #: whether program + generated module came out of the prepare cache
         self.cache_hit = cache_hit
-        self._simulate = simulate
-        self._simulate_instrumented = simulate_instrumented
-        self._simulate_full = simulate_full
-        self._simulate_lanes = simulate_lanes
+        self._load(code)
+
+    def _load(self, code: CodeType) -> None:
+        """Execute the generated module and bind its entry points."""
+        namespace: dict = {"__name__": "repro_generated_simulator"}
+        try:
+            exec(code, namespace)  # noqa: S102 - executing our own generated code
+            self._simulate = namespace["simulate"]
+            self._simulate_instrumented = namespace["simulate_instrumented"]
+            self._simulate_full = namespace.get("simulate_full")
+            self._simulate_lanes = namespace["simulate_lanes"]
+        except Exception as exc:  # pragma: no cover - generator bug guard
+            raise CompilationError(
+                f"generated code for {self.spec.source_name} failed to "
+                f"load: {exc}"
+            ) from exc
+
+    def __getstate__(self) -> dict:
+        # the entry points are functions of an exec'd module: they do not
+        # pickle, and the source rebuilds them on the other side
+        state = dict(self.__dict__)
+        for name in ("_simulate", "_simulate_instrumented", "_simulate_full",
+                     "_simulate_lanes"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._load(_byte_compile(self.source, self.spec))
 
     def write_source(self, path: str | Path) -> Path:
         """Write the generated module to disk (like the paper's ``simulator.p``)."""
@@ -172,14 +194,12 @@ class CompiledSimulation(PreparedSimulation):
         """Lane groups run the generated ``simulate_lanes`` entry point.
 
         The generated lane loop counts no statistics, so
-        statistics-collecting groups route through the generic lane
-        evaluator over the shared lowered program instead (still one
-        schedule walk for the whole group).
+        statistics-collecting groups run each lane on the generated
+        ``simulate_instrumented`` kernel instead (a lane's result and
+        error are then exactly its scalar run's).
         """
-        if collect_stats or self._simulate_lanes is None:
-            return super().run_lanes(
-                cycles=cycles, ios=ios, collect_stats=collect_stats
-            )
+        if collect_stats:
+            return self._run_each_lane(cycles, ios, collect_stats)
         from repro.lowering.lanes import LaneOutcome
 
         ios = list(ios)
@@ -234,38 +254,33 @@ class CompiledSimulation(PreparedSimulation):
         return outcomes
 
 
+def _byte_compile(source: str, spec: Specification) -> CodeType:
+    """The paper's "Pascal compile" phase: generated source -> code."""
+    module_name = f"<asim2 generated: {spec.source_name}>"
+    try:
+        return compile(source, module_name, "exec")
+    except SyntaxError as exc:  # pragma: no cover - generator bug guard
+        raise CompilationError(
+            f"generated code for {spec.source_name} failed to compile: {exc}"
+        ) from exc
+
+
 def _generate_and_compile(
     program: CycleProgram, options: CodegenOptions
-) -> tuple[str, object, float, float]:
+) -> tuple[str, CodeType, float, float]:
     """The paper's two timed preparation phases over a lowered program."""
     generate_start = time.perf_counter()
     source = generate_program_python(program, options)
     generate_seconds = time.perf_counter() - generate_start
 
     compile_start = time.perf_counter()
-    module_name = f"<asim2 generated: {program.spec.source_name}>"
-    try:
-        code = compile(source, module_name, "exec")
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise CompilationError(
-            f"generated code for {program.spec.source_name} failed to "
-            f"compile: {exc}"
-        ) from exc
+    code = _byte_compile(source, program.spec)
     compile_seconds = time.perf_counter() - compile_start
     return source, code, generate_seconds, compile_seconds
 
 
 class CompiledBackend(Backend):
-    """Backend factory for the ASIM II-style compiler.
-
-    ``disk`` enables the persistent artifact cache
-    (:class:`~repro.compiler.cache.DiskCache`): the generated module
-    source is stored on disk keyed on (specification fingerprint, codegen
-    options), so a fresh process preparing a known machine skips code
-    generation and only byte-compiles — the cold-start path the serving
-    layer's process-pool executor relies on.  The lowered IR is disk-
-    cached too, through :func:`~repro.lowering.program.lower_cached`.
-    """
+    """Backend factory for the ASIM II-style compiler."""
 
     name = "compiled"
 
@@ -274,80 +289,29 @@ class CompiledBackend(Backend):
         options: CodegenOptions | None = None,
         specopt: bool | SpecOptPasses = False,
         cache: PrepareCache | bool | None = True,
-        disk: "DiskCache | str | bool | None" = None,
     ) -> None:
         self.options = options or CodegenOptions()
         self.passes = resolve_passes(specopt)
         self.cache = resolve_cache(cache)
-        self.disk = resolve_disk(disk)
-
-    def _source_artifact(
-        self, program: CycleProgram
-    ) -> tuple[str, object, float, float]:
-        """Generate-and-compile, consulting the disk cache for the source.
-
-        The key covers everything the generated module depends on: the
-        specopt pass configuration (it decides the step lists and whether
-        ``simulate_full`` exists) and the codegen options.
-        """
-        if self.disk is not None:
-            fingerprint = spec_fingerprint(program.spec)
-            key = artifact_key(self.passes, self.options)
-            source = self.disk.load_source(fingerprint, key)
-            if source is not None:
-                compile_start = time.perf_counter()
-                module_name = f"<asim2 cached: {program.spec.source_name}>"
-                try:
-                    code = compile(source, module_name, "exec")
-                except (SyntaxError, ValueError):
-                    # a damaged cache entry (bad syntax, null bytes) must
-                    # fall back to a clean build
-                    pass
-                else:
-                    return source, code, 0.0, time.perf_counter() - compile_start
-        artifact = _generate_and_compile(program, self.options)
-        if self.disk is not None:
-            self.disk.store_source(fingerprint, key, artifact[0])
-        return artifact
 
     def prepare(self, spec: Specification) -> CompiledSimulation:
-        program, program_hit = lower_cached(
-            spec, self.passes, self.cache, self.disk
-        )
+        program, program_hit = lower_cached(spec, self.passes, self.cache)
         artifact, artifact_hit = program.artifact(
             ("compiled", self.options),
-            lambda: self._source_artifact(program),
+            lambda: _generate_and_compile(program, self.options),
         )
         source, code, generate_seconds, compile_seconds = artifact
         hit = program_hit and artifact_hit
         if hit:
             generate_seconds = compile_seconds = 0.0
-
-        namespace: dict = {"__name__": "repro_generated_simulator"}
-        try:
-            exec(code, namespace)  # noqa: S102 - executing our own generated code
-            simulate = namespace["simulate"]
-            simulate_instrumented = namespace["simulate_instrumented"]
-            simulate_full = namespace.get("simulate_full")
-            # absent from sources cached by older versions; run_lanes then
-            # falls back to the generic lane evaluator
-            simulate_lanes = namespace.get("simulate_lanes")
-        except Exception as exc:  # pragma: no cover - generator bug guard
-            raise CompilationError(
-                f"generated code for {spec.source_name} failed to load: {exc}"
-            ) from exc
-
         return CompiledSimulation(
             spec=spec,
             program=program,
             source=source,
-            simulate=simulate,
-            simulate_instrumented=simulate_instrumented,
-            simulate_full=simulate_full,
+            code=code,
             generate_seconds=generate_seconds,
             compile_seconds=compile_seconds,
             cache_hit=hit,
-            simulate_lanes=simulate_lanes,
         )
 
 

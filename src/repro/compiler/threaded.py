@@ -32,12 +32,7 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
-from repro.compiler.cache import (
-    DiskCache,
-    PrepareCache,
-    resolve_cache,
-    resolve_disk,
-)
+from repro.compiler.cache import PrepareCache, resolve_cache
 from repro.compiler.specopt import SpecOptPasses, SpecOptReport, resolve_passes
 from repro.core.backend import Backend, PreparedSimulation, ValueOverride
 from repro.core.instrument import plan_run
@@ -134,20 +129,13 @@ class ThreadedBackend(Backend):
         self,
         specopt: bool | SpecOptPasses = True,
         cache: PrepareCache | bool | None = True,
-        disk: "DiskCache | str | bool | None" = None,
     ) -> None:
         self.passes = resolve_passes(specopt)
         self.cache = resolve_cache(cache)
-        #: persistent IR cache; closure plans themselves cannot live on
-        #: disk (they are bound closures), but skipping lowering is the
-        #: bulk of this backend's preparation cost
-        self.disk = resolve_disk(disk)
 
     def prepare(self, spec: Specification) -> ThreadedSimulation:
         start = time.perf_counter()
-        program, program_hit = lower_cached(
-            spec, self.passes, self.cache, self.disk
-        )
+        program, program_hit = lower_cached(spec, self.passes, self.cache)
         _plans, plans_hit = program.artifact(
             ("threaded", False), lambda: ThreadedProgram(program, False)
         )

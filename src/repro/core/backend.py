@@ -136,17 +136,27 @@ class PreparedSimulation(ABC):
         backends stay correct without opting in.
         """
         program = getattr(self, "program", None)
-        if program is not None:
-            from repro.lowering.lanes import run_lanes
+        if program is None:
+            return self._run_each_lane(cycles, ios, collect_stats)
+        from repro.lowering.lanes import run_lanes
 
-            return run_lanes(
-                program,
-                cycles=cycles,
-                ios=ios,
-                collect_stats=collect_stats,
-                backend_name=self.backend_name,
-                prepare_seconds=self.prepare_seconds,
-            )
+        return run_lanes(
+            program,
+            cycles=cycles,
+            ios=ios,
+            collect_stats=collect_stats,
+            backend_name=self.backend_name,
+            prepare_seconds=self.prepare_seconds,
+        )
+
+    def _run_each_lane(
+        self,
+        cycles: int | None,
+        ios: Iterable[IOSystem],
+        collect_stats: bool,
+    ) -> list:
+        """A lane group as one scalar ``run`` per lane: each lane's result
+        or :class:`~repro.errors.SimulationError` is its scalar run's."""
         from repro.lowering.lanes import LaneOutcome
 
         outcomes = []

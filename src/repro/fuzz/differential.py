@@ -92,7 +92,7 @@ def ir_fingerprint(spec: Specification) -> str:
 
     Two specifications with equal IR fingerprints lower to byte-identical
     :class:`~repro.lowering.program.CycleProgram` payloads — the strict
-    form of "the DiskCache / PoolRegistry key survives a round trip".  The
+    form of "the PrepareCache / PoolRegistry key survives a round trip".  The
     specification is canonicalised through its text form first (exactly the
     normalisation :func:`~repro.compiler.cache.spec_fingerprint` hashes),
     so presentation metadata — expression source strings, the spec's

@@ -38,12 +38,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.compiler.cache import (
-    DiskCache,
-    PrepareCache,
-    artifact_key,
-    spec_fingerprint,
-)
+from repro.compiler.cache import PrepareCache
 from repro.compiler.specopt import (
     SpecOptPasses,
     SpecOptReport,
@@ -374,44 +369,15 @@ def lower_cached(
     spec: Specification,
     specopt: bool | SpecOptPasses | None,
     cache: PrepareCache | None,
-    disk: DiskCache | None = None,
 ) -> tuple[CycleProgram, bool]:
     """Lower via the prepare cache; returns ``(program, cache_hit)``.
 
     The cache stores the backend-neutral IR keyed on the specification
     fingerprint plus the exact pass configuration — never backend-private
     artifacts (those live on the program, see :meth:`CycleProgram.artifact`).
-
-    With *disk* set, an in-process miss consults the persistent artifact
-    store before lowering: a stored IR for the same (fingerprint, passes)
-    pair loads instead of rebuilding — that is the process-pool worker's
-    cold-start path — and a fresh build is written back for the next
-    process.  A damaged disk entry reads as a miss and is overwritten by
-    the rebuild.  ``cache_hit`` is true whenever lowering was skipped,
-    from either layer.
     """
     passes = resolve_passes(specopt)
-    if cache is None and disk is None:
-        return lower(spec, passes), False
-    from_disk = False
-
-    def build() -> CycleProgram:
-        nonlocal from_disk
-        if disk is not None:
-            fingerprint = spec_fingerprint(spec)
-            key = artifact_key(passes)
-            loaded = disk.load_program(fingerprint, key)
-            if loaded is not None:
-                from_disk = True
-                return loaded
-            program = CycleProgram(spec, passes)
-            disk.store_program(fingerprint, key, program)
-            return program
-        return CycleProgram(spec, passes)
-
     if cache is None:
-        program = build()
-        return program, from_disk
+        return lower(spec, passes), False
     key = cache.key_for("lowered", spec, passes)
-    program, hit = cache.get_or_create(key, build)
-    return program, hit or from_disk
+    return cache.get_or_create(key, lambda: CycleProgram(spec, passes))

@@ -38,7 +38,7 @@ first, exactly as the concatenation syntax reads:
 :func:`spec_to_json` always emits the canonical node form;
 :func:`spec_from_json` accepts all three.  Round-tripping preserves the
 :func:`~repro.compiler.cache.spec_fingerprint` — the identity the
-``DiskCache`` and the server's ``PoolRegistry`` key on — which the
+``PrepareCache`` and the server's ``PoolRegistry`` key on — which the
 interchange test suite asserts for every bundled machine.
 
 Errors are structured: every rejection raises

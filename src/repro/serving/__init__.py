@@ -18,10 +18,10 @@ Four pieces implement that:
 * :class:`~repro.serving.executor.ExecutorStrategy`
   (:mod:`repro.serving.executor`) — the two execution strategies:
   ``serial`` (inline on the caller's thread) and ``process`` (true
-  multi-core: the lowered program is pickled to worker processes once at
-  pool startup, requests travel in chunks, and the persistent artifact
-  cache makes worker cold starts nearly free).  ``lane_width`` N >= 2
-  turns on lane groups on either (:mod:`repro.lowering.lanes`: N
+  multi-core: the pool's warm prepared simulation reaches each worker
+  process once, at pool startup, and requests travel in chunks).
+  ``lane_width`` N >= 2 turns on lane groups on either
+  (:mod:`repro.lowering.lanes`: N
   compatible run variants advanced together through one walk of the
   dependency-scheduled step list, amortising per-run dispatch overhead —
   lanes within each worker, chunks across workers); the input names
@@ -35,10 +35,8 @@ Four pieces implement that:
 * :class:`~repro.serving.server.SimulationServer`
   (:mod:`repro.serving.server` + :mod:`repro.serving.protocol`) — the
   long-lived HTTP front-end: pools created lazily per (machine, backend,
-  executor, lane width) and kept warm across client requests, a JSON
-  wire protocol
-  any ``curl`` can speak, and startup garbage collection of the
-  persistent artifact cache (``DiskCache.prune``).
+  executor, lane width) and kept warm across client requests, and a
+  JSON wire protocol any ``curl`` can speak.
 
 The layer is fault-tolerant by construction: per-run deadlines
 (``RunRequest.timeout_seconds``, enforced cooperatively through the
@@ -46,8 +44,7 @@ instrumentation layer plus a wall-clock backstop on the process
 executor), worker-crash recovery with poisoned-request quarantine
 (:class:`~repro.serving.executor.ProcessExecutor`), bounded admission
 with structured 429s (:class:`~repro.serving.server.AdmissionGate`) and
-graceful degradation (backend fallback chain, memory-only disk-cache
-mode).  The chaos harness (``tests/serving/test_chaos.py``, shims in
+graceful degradation (the backend fallback chain).  The chaos harness (``tests/serving/test_chaos.py``, shims in
 :mod:`repro.serving.chaos`) injects each failure and proves the system
 answers structurally instead of hanging.
 
@@ -95,7 +92,6 @@ from repro.serving.executor import (
     ProcessExecutor,
     RunOutcome,
     SerialExecutor,
-    WorkerContext,
     lane_compatible,
     resolve_executor,
 )
@@ -138,7 +134,6 @@ __all__ = [
     "Span",
     "SqliteExporter",
     "TraceRecorder",
-    "WorkerContext",
     "async_run",
     "async_run_batch",
     "coverage_fraction",

@@ -32,7 +32,6 @@ from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 
-from repro.compiler.cache import _code_version
 from repro.errors import AsimError, DeadlineExceededError, WorkerCrashError
 from repro.serving.protocol import (
     TRACE_HEADER,
@@ -47,6 +46,15 @@ from repro.serving.tracing import (
 )
 
 __all__ = ["HttpEdge", "Request"]
+
+
+def package_version() -> str:
+    """The package version, imported lazily: this module loads during
+    the package's own initialisation."""
+    from repro import __version__
+
+    return __version__
+
 
 #: The one parameterised route: ``/v1/trace/<id>`` dispatches to the
 #: handler registered for ``/v1/trace``, with the id as ``Request.arg``.
@@ -128,7 +136,7 @@ class _EdgeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def version_string(self) -> str:
-        return f"{self.server.app.server_name}/{_code_version()}"
+        return f"{self.server.app.server_name}/{package_version()}"
 
     # the default handler logs every request to stderr; the edge keeps
     # counters instead (GET /v1/stats, GET /metrics)

@@ -10,15 +10,14 @@ decision to an :class:`ExecutorStrategy`; there are two:
   admission gate — and every caller shares the pool's one warm prepared
   simulation (prepared simulations are re-entrant).
 * **process** — true multi-core serving.  Worker processes are started
-  once per pool; each receives the parent's :class:`WorkerContext` — the
-  specification plus the already-lowered, picklable
-  :class:`~repro.lowering.program.CycleProgram` — through the pool
-  initializer (pickled **once** at startup, never per run) and binds its
-  own backend to it.  The parent also seeds the persistent artifact cache
-  (:class:`~repro.compiler.cache.DiskCache`) with the lowered IR and the
-  compiled backend's generated source, so a worker's cold start skips
-  lowering and code generation entirely.  Requests travel to workers in
-  chunks (``chunk_size``) to amortise IPC; results come back as picklable
+  once per pool; each receives the pool's warm prepared simulation — the
+  one the serial strategy runs on — as the pool initializer's one
+  argument.  A ``fork``ed worker inherits it as it is; a ``spawn`` or
+  ``forkserver`` worker unpickles it once at startup (the compiled
+  backend's simulation byte-compiles its shipped source, see
+  :mod:`repro.compiler.compiled`), so no worker lowers the specification
+  or generates code.  Requests travel to workers in chunks
+  (``chunk_size``) to amortise IPC; results come back as picklable
   :class:`RunOutcome` values with per-item error capture.
 
 ``lane_width`` means the same on both: ``None`` (or 1) runs every request
@@ -58,20 +57,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from repro.compiler.cache import (
-    DiskCache,
-    PrepareCache,
-    artifact_key,
-    spec_fingerprint,
-)
-from repro.compiler.optimizer import CodegenOptions
-from repro.compiler.specopt import SpecOptPasses
-from repro.core.backend import Backend, PreparedSimulation, resolve_trace
+from repro.core.backend import PreparedSimulation, resolve_trace
 from repro.core.instrument import run_deadline
 from repro.core.results import SimulationResult
 from repro.errors import DeadlineExceededError, ServingError, WorkerCrashError
 from repro.lowering.lanes import DEFAULT_LANE_WIDTH
-from repro.lowering.program import CycleProgram
 from repro.rtl.spec import Specification
 from repro.serving.batch import RunRequest
 from repro.serving.tracing import Span
@@ -481,7 +471,8 @@ def run_chunk(
 ) -> "list[RunOutcome]":
     """Execute one chunk on *prepared*: lane groups when *lane_width* is
     >= 2, scalar runs otherwise.  The serial strategy calls this on the
-    caller's thread; a process worker calls it on its own binding."""
+    caller's thread; a process worker calls it on its copy of the pool's
+    warm simulation."""
     if lane_width is not None and lane_width > 1 and len(requests) > 1:
         return execute_lane_chunk(prepared, requests, submitted, worker,
                                   lane_width)
@@ -496,135 +487,13 @@ def run_chunk(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WorkerContext:
-    """Everything a worker process needs to bind a prepared simulation.
-
-    Built once by the parent pool and pickled once into the pool
-    initializer.  For the built-in backends the context carries the
-    parent's already-lowered :class:`CycleProgram`, so the worker never
-    lowers; with ``cache_dir`` set, the worker's compiled backend also
-    loads the generated source from the persistent artifact cache the
-    parent seeded, so it never generates code either.  A third-party
-    backend rides along as a pickled instance (``backend``) and prepares
-    from scratch.
-    """
-
-    spec: Specification
-    program: CycleProgram | None
-    backend_name: str | None
-    backend: Backend | None
-    codegen_options: CodegenOptions | None
-    passes: SpecOptPasses | None
-    cache_dir: str | None
-
-    def bind(self) -> PreparedSimulation:
-        """Build this worker's prepared simulation (runs in the worker)."""
-        if self.backend is not None:
-            return self.backend.prepare(self.spec)
-        if self.backend_name == "interpreter":
-            if self.program is not None:
-                from repro.interp.interpreter import InterpreterSimulation
-
-                return InterpreterSimulation(
-                    self.spec, self.program, prepare_seconds=0.0
-                )
-            from repro.interp.interpreter import InterpreterBackend
-
-            return InterpreterBackend(self.passes).prepare(self.spec)
-        # threaded / compiled: a private in-process cache seeded with the
-        # shipped program makes the worker's prepare a guaranteed hit
-        cache = PrepareCache()
-        if self.program is not None:
-            key = cache.key_for("lowered", self.spec, self.passes)
-            cache.get_or_create(key, lambda: self.program)
-        disk = DiskCache(self.cache_dir) if self.cache_dir else None
-        if self.backend_name == "threaded":
-            from repro.compiler.threaded import ThreadedBackend
-
-            backend: Backend = ThreadedBackend(
-                specopt=self.passes, cache=cache, disk=disk
-            )
-        else:
-            from repro.compiler.compiled import CompiledBackend
-
-            backend = CompiledBackend(
-                self.codegen_options, specopt=self.passes,
-                cache=cache, disk=disk,
-            )
-        return backend.prepare(self.spec)
-
-
-def worker_context_for(
-    spec: Specification,
-    backend: Backend,
-    warm: PreparedSimulation,
-    disk: DiskCache | None,
-) -> WorkerContext:
-    """Describe *backend* so a worker process can rebuild it.
-
-    The built-in backends are rebuilt by name (shipping the lowered
-    program, the pass configuration and the codegen options — never
-    unpicklable run state); any other backend must itself survive a
-    pickle round-trip, checked eagerly here so misconfiguration surfaces
-    at pool construction, not in a dying worker.
-    """
-    from repro.compiler.compiled import CompiledBackend
-    from repro.compiler.threaded import ThreadedBackend
-    from repro.interp.interpreter import InterpreterBackend
-
-    program = getattr(warm, "program", None)
-    cache_dir = str(disk.root) if disk is not None else None
-    if type(backend) in (InterpreterBackend, ThreadedBackend, CompiledBackend):
-        return WorkerContext(
-            spec=spec,
-            program=program,
-            backend_name=backend.name,
-            backend=None,
-            codegen_options=getattr(backend, "options", None),
-            passes=getattr(backend, "passes", None),
-            cache_dir=cache_dir,
-        )
-    try:
-        pickle.dumps(backend)
-    except Exception as exc:
-        raise ServingError(
-            f"the process executor needs a picklable backend; "
-            f"{type(backend).__name__} failed to pickle ({exc}); use a "
-            "built-in backend name or make the backend picklable"
-        ) from exc
-    return WorkerContext(
-        spec=spec, program=program, backend_name=None, backend=backend,
-        codegen_options=None, passes=None, cache_dir=cache_dir,
-    )
-
-
-def seed_disk_cache(
-    disk: DiskCache,
-    spec: Specification,
-    warm: PreparedSimulation,
-    passes: SpecOptPasses | None,
-    options: CodegenOptions | None,
-) -> None:
-    """Persist the parent's prepare artifacts for worker cold starts."""
-    fingerprint = spec_fingerprint(spec)
-    program = getattr(warm, "program", None)
-    if program is not None and passes is not None:
-        disk.store_program(fingerprint, artifact_key(passes), program)
-    source = getattr(warm, "source", None)
-    if source is not None and passes is not None and options is not None:
-        # mirror CompiledBackend._source_artifact: the source depends on
-        # the pass configuration as well as the codegen options
-        disk.store_source(fingerprint, artifact_key(passes, options), source)
-
-
-#: This worker's bound simulation (set by the pool initializer).
+#: This worker's prepared simulation (set by the pool initializer).
 _WORKER_PREPARED: PreparedSimulation | None = None
 
 
-def _initialize_worker(context: WorkerContext) -> None:
+def _initialize_worker(prepared: PreparedSimulation) -> None:
     global _WORKER_PREPARED
-    _WORKER_PREPARED = context.bind()
+    _WORKER_PREPARED = prepared
 
 
 def _run_chunk_in_worker(
@@ -659,11 +528,15 @@ def _crash_outcome(message: str) -> RunOutcome:
 class ProcessExecutor(ExecutorStrategy):
     """True multi-core serving over a pool of worker processes.
 
-    The :class:`WorkerContext` is pickled exactly once, into the pool
-    initializer; each worker binds its backend to the shipped lowered
-    program at startup.  Requests travel in chunks to amortise IPC — the
-    default chunk size targets four chunks per worker, balancing transfer
-    overhead against scheduling granularity for heterogeneous batches.
+    Every worker runs the pool's warm *prepared* simulation, handed over
+    once as the pool initializer's argument (inherited on ``fork``,
+    unpickled once on ``spawn``/``forkserver``).  It must therefore
+    pickle, which construction checks eagerly, so a third-party backend
+    whose simulation cannot cross a process boundary fails here and not
+    in a dying worker.  Requests travel in chunks to amortise IPC — the
+    default chunk size targets about two chunks per worker, balancing
+    transfer overhead against scheduling granularity for heterogeneous
+    batches.
 
     **Crash recovery.**  A dying worker breaks the whole
     ``ProcessPoolExecutor`` (every pending future gets
@@ -692,17 +565,25 @@ class ProcessExecutor(ExecutorStrategy):
 
     def __init__(
         self,
-        context: WorkerContext,
+        prepared: PreparedSimulation,
         workers: int,
         mp_context=None,
         lane_width: int | None = None,
     ) -> None:
         super().__init__(workers=workers, lane_width=lane_width)
+        try:
+            pickle.dumps(prepared)
+        except Exception as exc:
+            raise ServingError(
+                "the process executor ships the prepared simulation to its "
+                f"workers, so it must be picklable; {type(prepared).__name__} "
+                f"failed to pickle ({exc})"
+            ) from exc
         if isinstance(mp_context, str):
             import multiprocessing
 
             mp_context = multiprocessing.get_context(mp_context)
-        self._context = context
+        self._prepared = prepared
         self._mp_context = mp_context
         self._pool_lock = threading.Lock()
         # serialises post-crash retries: a retried request executes alone,
@@ -720,7 +601,7 @@ class ProcessExecutor(ExecutorStrategy):
             max_workers=self.workers,
             mp_context=self._mp_context,
             initializer=_initialize_worker,
-            initargs=(self._context,),
+            initargs=(self._prepared,),
         )
 
     def default_chunk_size(self, count: int) -> int:

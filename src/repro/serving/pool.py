@@ -8,24 +8,20 @@ any run is scheduled.
 
 Scheduling is delegated to an execution strategy
 (:mod:`repro.serving.executor`): ``serial`` runs inline on the caller's
-thread, and ``process`` ships the lowered program to worker processes
-once and scales with CPU cores.  ``lane_width`` turns on lane groups on
-either; ``chunk_size`` groups requests per scheduling unit to amortise
-IPC on the process strategy.
+thread, and ``process`` ships the warm prepared simulation to worker
+processes once and scales with CPU cores.  ``lane_width`` turns on lane
+groups on either; ``chunk_size`` groups requests per scheduling unit to
+amortise IPC on the process strategy.
 
-In-process (serial) runs all execute on the pool's single warm
-:class:`~repro.core.backend.PreparedSimulation`, whatever the backend.
-Prepared simulations are re-entrant by contract (each ``run`` builds
-fresh mutable state), so concurrent callers — the HTTP server's
-connection threads — share one prepared program instead of binding one
-each; on the cache-backed backends that program is the shared lowered
+Every run executes on the pool's single warm
+:class:`~repro.core.backend.PreparedSimulation`, whatever the backend
+and strategy: in-process on serial, as each worker's copy of it on
+process (inherited on ``fork``, unpickled once on ``spawn``).  Prepared
+simulations are re-entrant by contract (each ``run`` builds fresh
+mutable state), so concurrent callers — the HTTP server's connection
+threads — share one prepared program instead of binding one each; on the
+cache-backed backends that program is the shared lowered
 :class:`~repro.lowering.program.CycleProgram` (see ``shared_program``).
-
-On the process strategy each worker binds its backend to the lowered
-program shipped at pool startup (see
-:class:`~repro.serving.executor.WorkerContext`), and the persistent
-artifact cache (:class:`~repro.compiler.cache.DiskCache`) lets a worker's
-compiled backend skip code generation too.
 
 Throughput model: simulations are pure Python, so in-process runs share
 one core through the GIL; ``process`` workers each own a core and win by
@@ -39,10 +35,9 @@ import os
 import threading
 import time
 from concurrent.futures import Future
-from pathlib import Path
 from typing import Sequence
 
-from repro.compiler.cache import DiskCache, resolve_disk, spec_fingerprint
+from repro.compiler.cache import spec_fingerprint
 from repro.compiler.optimizer import CodegenOptions
 from repro.core.backend import PreparedSimulation
 from repro.core.results import SimulationResult
@@ -55,8 +50,6 @@ from repro.serving.executor import (
     RunOutcome,
     SerialExecutor,
     resolve_executor,
-    seed_disk_cache,
-    worker_context_for,
 )
 from repro.serving.tracing import Span, outcome_spans
 
@@ -127,10 +120,9 @@ class SimulationPool:
     composing vectorization with multi-core fan-out.  ``chunk_size``
     fixes how many requests travel per scheduling unit (default: one for
     scalar serial, the whole batch for serial lanes, about two chunks per
-    worker for process).  ``artifact_cache`` roots the persistent
-    artifact cache used to seed process workers (``True``/``None`` for
-    the default directory, a path, a
-    :class:`~repro.compiler.cache.DiskCache`, or ``False`` to disable).
+    worker for process).  ``mp_context`` picks the process strategy's
+    start method (a name such as ``"spawn"`` or a multiprocessing
+    context; default: the platform's).
 
     The pool is a context manager; ``close()`` (or leaving the ``with``
     block) waits for in-flight runs and rejects new submissions.
@@ -144,7 +136,6 @@ class SimulationPool:
         codegen_options: CodegenOptions | None = None,
         executor: str = "serial",
         chunk_size: int | None = None,
-        artifact_cache: "DiskCache | str | Path | bool | None" = None,
         mp_context=None,
         lane_width: int | None = None,
     ) -> None:
@@ -177,36 +168,17 @@ class SimulationPool:
         start = time.perf_counter()
         self._warm: PreparedSimulation = self._backend.prepare(spec)
         self.prepare_seconds = time.perf_counter() - start
-        self._strategy = self._build_strategy(executor, artifact_cache,
-                                              mp_context)
+        self._strategy: ExecutorStrategy = (
+            SerialExecutor(self._warm, lane_width) if executor == "serial"
+            else ProcessExecutor(self._warm, workers=max_workers,
+                                 mp_context=mp_context,
+                                 lane_width=lane_width)
+        )
         self._closed = False
         # makes the closed check and the executor submit atomic against a
         # concurrent close(), so racing submitters always see ServingError
         # rather than the executor's RuntimeError
         self._submit_lock = threading.Lock()
-
-    def _build_strategy(
-        self, executor: str, artifact_cache, mp_context
-    ) -> ExecutorStrategy:
-        if executor == "serial":
-            return SerialExecutor(self._warm, self.lane_width)
-        # process: seed the persistent artifact cache so worker cold starts
-        # skip lowering and code generation, then ship the lowered program
-        # once through the pool initializer
-        disk = resolve_disk(True if artifact_cache is None else artifact_cache)
-        context = worker_context_for(self.spec, self._backend, self._warm,
-                                     disk)
-        if disk is not None:
-            seed_disk_cache(
-                disk,
-                self.spec,
-                self._warm,
-                getattr(self._backend, "passes", None),
-                getattr(self._backend, "options", None),
-            )
-        return ProcessExecutor(context, workers=self.max_workers,
-                               mp_context=mp_context,
-                               lane_width=self.lane_width)
 
     # -- introspection -------------------------------------------------------
 
@@ -223,8 +195,8 @@ class SimulationPool:
         """The lowered program every in-process run executes, or ``None``.
 
         It is the warm prepared simulation's program (shared with the
-        prepare cache on the cache-backed backends); process workers bind
-        to a pickled copy of it, shipped once at pool startup.
+        prepare cache on the cache-backed backends); process workers run
+        their copy of the warm simulation, shipped once at pool startup.
         """
         return getattr(self._warm, "program", None)
 

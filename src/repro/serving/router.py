@@ -43,8 +43,7 @@ import time
 import urllib.parse
 from typing import Mapping, Sequence
 
-from repro.compiler.cache import _code_version
-from repro.serving.edge import HttpEdge, Request
+from repro.serving.edge import HttpEdge, Request, package_version
 from repro.serving.fleet import FleetSupervisor
 from repro.serving.protocol import (
     NODE_HEADER,
@@ -62,9 +61,6 @@ from repro.serving.tracing import (
 )
 
 __all__ = ["FleetRouter", "ServingFleet", "rank_nodes"]
-
-_version = _code_version
-
 
 def rank_nodes(shard_key: str, node_ids: Sequence[str]) -> list[str]:
     """Rendezvous (highest-random-weight) ranking of nodes for one shard.
@@ -336,7 +332,7 @@ class FleetRouter(HttpEdge):
             "protocol": PROTOCOL_VERSION,
             "status": "ok",
             "role": "router",
-            "version": _version(),
+            "version": package_version(),
             "uptime_seconds": time.time() - self.started_at,
         }
 
@@ -406,7 +402,7 @@ class FleetRouter(HttpEdge):
         return 200, {
             "protocol": PROTOCOL_VERSION,
             "router": {
-                "version": _version(),
+                "version": package_version(),
                 "uptime_seconds": time.time() - self.started_at,
                 "requests": counts,
                 "failovers": self.failovers,

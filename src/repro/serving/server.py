@@ -3,10 +3,10 @@
 This is the serving layer's persistent form.  ``repro serve-batch`` pays
 a pool's warm-up on every invocation; the server pays it **once per
 (machine, backend, executor, lane width)** and then keeps the pool —
-warm workers,
-seeded prepare cache, shipped lowered program — alive across any number
-of client requests, so a repeat client's request costs only the run
-itself.  It is standard library only (the ``ThreadingHTTPServer`` edge
+its warm prepared simulation, and on the process strategy the workers
+holding copies of it — alive across any number of client requests, so
+a repeat client's request costs only the run itself.  It is standard
+library only (the ``ThreadingHTTPServer`` edge
 of :mod:`repro.serving.edge`, shared with the fleet router, speaking the
 JSON wire protocol of :mod:`repro.serving.protocol`), so any HTTP
 client — ``curl`` included — is a client.
@@ -19,8 +19,8 @@ Endpoints (documented with schemas and examples in
 * ``POST /v1/run`` — one run, fields flattened for ``curl`` ergonomics.
 * ``GET /v1/machines`` — the bundled machine registry.
 * ``GET /v1/backends`` — backend names with capability flags.
-* ``GET /v1/stats`` — uptime, request counters, live pools, disk cache,
-  resilience counters (crashes, retries, quarantines, fallbacks).
+* ``GET /v1/stats`` — uptime, request counters, live pools, resilience
+  counters (crashes, retries, quarantines, fallbacks).
 * ``GET /v1/trace/<id>`` — the assembled per-request trace for a recent
   request (spans from HTTP parse to worker run; see
   :mod:`repro.serving.tracing`), served from the recorder's bounded
@@ -38,9 +38,7 @@ at parsing: the aliases ``thread`` and ``lane`` arrive as ``serial`` with
 their lane width, so registry keys, responses, ``/v1/stats`` and traces
 carry strategy names only.  On a serial pool each request runs inline on
 its connection's thread, so ``max_inflight`` is what bounds concurrent
-runs.  The disk artifact cache is pruned once at startup
-(:meth:`~repro.compiler.cache.DiskCache.prune`) so a long-running
-deployment stays inside its byte/age budget.
+runs.
 
 Under load the server applies **backpressure** instead of queueing
 without bound: the :class:`AdmissionGate` caps concurrently executing
@@ -59,7 +57,7 @@ instead of hanging forever or silently abandoning threads.
 
 The CLI front door is ``repro serve``; ``examples/http_client.py`` is a
 minimal client.  Deployment guidance (executor choice, worker sizing,
-cache policy) lives in ``docs/serving.md``.
+pool limits) lives in ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -70,17 +68,11 @@ from email.message import Message
 from pathlib import Path
 from typing import Callable
 
-from repro.compiler.cache import (
-    DiskCache,
-    PruneReport,
-    _code_version,
-    resolve_disk,
-)
 from repro.core.simulator import BACKEND_NAMES, make_backend
 from repro.errors import ServingError
 from repro.machines.library import all_machines
 from repro.serving.batch import BatchResult
-from repro.serving.edge import HttpEdge, Request
+from repro.serving.edge import HttpEdge, Request, package_version
 from repro.serving.executor import (
     EXECUTOR_NAMES,
     ZERO_COUNTERS,
@@ -112,12 +104,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: warm prepare fails: each step trades speed for simplicity, ending at
 #: the interpreter, which has no compile step left to fail.
 BACKEND_FALLBACKS = {"compiled": "threaded", "threaded": "interpreter"}
-
-
-# lazily-resolved package version (this module loads during repro's own
-# initialisation); one implementation, shared with the disk cache's
-# artifact stamping
-_version = _code_version
 
 #: GET routes -> handler method name on :class:`SimulationServer`.
 GET_ROUTES: dict[str, str] = {
@@ -237,8 +223,8 @@ class PoolRegistry:
     (machine, backend, executor, lane width).
 
     The registry is the server's whole point: the first request for a
-    combination pays the pool construction (warm prepare, worker spawn,
-    disk-cache seeding), every later request reuses it.  Construction is
+    combination pays the pool construction (warm prepare, worker spawn),
+    every later request reuses it.  Construction is
     guarded by a *per-key* lock: two racing first-requests for the same
     combination build one pool, not two, while requests for other
     combinations — in particular warm ones — never wait behind someone
@@ -259,7 +245,6 @@ class PoolRegistry:
         max_workers: int | None = None,
         chunk_size: int | None = None,
         lane_width: int | None = None,
-        artifact_cache: "DiskCache | str | Path | bool | None" = None,
         fallback: bool = True,
         max_pools: int | None = None,
     ) -> None:
@@ -272,7 +257,6 @@ class PoolRegistry:
         #: server-wide default lane group size; a request's ``lane_width``
         #: field overrides it (resolved into ``ParsedBatch.lane_width``)
         self.lane_width = lane_width
-        self.artifact_cache = artifact_cache
         #: walk :data:`BACKEND_FALLBACKS` when a backend's prepare fails
         self.fallback = fallback
         self.fallback_count = 0
@@ -383,7 +367,6 @@ class PoolRegistry:
                     max_workers=self.max_workers,
                     chunk_size=self.chunk_size,
                     lane_width=batch.lane_width,
-                    artifact_cache=self.artifact_cache,
                 )
             except ProtocolError:
                 raise
@@ -460,12 +443,6 @@ class SimulationServer(HttpEdge):
     defaults a request may override per call; ``max_workers`` and
     ``chunk_size`` configure every pool the registry creates.
 
-    ``cache_max_bytes``/``cache_max_age`` bound the persistent artifact
-    directory: :meth:`~repro.compiler.cache.DiskCache.prune` runs once at
-    startup (always removing corrupted entries and stale temp files, plus
-    LRU eviction down to the byte budget / age limit when given).  Pass
-    ``artifact_cache=False`` to run without the disk layer.
-
     Resilience knobs: ``max_inflight``/``max_queue``/``retry_after``
     configure the :class:`AdmissionGate`; ``default_timeout`` applies a
     deadline to every run that does not choose its own;
@@ -499,9 +476,6 @@ class SimulationServer(HttpEdge):
         max_workers: int | None = None,
         chunk_size: int | None = None,
         lane_width: int | None = None,
-        artifact_cache: "DiskCache | str | Path | bool | None" = None,
-        cache_max_bytes: int | None = None,
-        cache_max_age: float | None = None,
         max_inflight: int | None = None,
         max_queue: int = 16,
         retry_after: float = 1.0,
@@ -535,20 +509,13 @@ class SimulationServer(HttpEdge):
             max_inflight=max_inflight, max_queue=max_queue,
             retry_after=retry_after,
         )
-        self.disk = resolve_disk(True if artifact_cache is None else artifact_cache)
         self.registry = PoolRegistry(
             max_workers=max_workers,
             chunk_size=chunk_size,
             lane_width=lane_width,
-            artifact_cache=self.disk if self.disk is not None else False,
             fallback=fallback,
             max_pools=max_pools,
         )
-        self.startup_prune: PruneReport | None = None
-        if self.disk is not None:
-            self.startup_prune = self.disk.prune(
-                max_bytes=cache_max_bytes, max_age=cache_max_age
-            )
         self.trace_sink = trace_sink if trace_sink not in ("", "none") else None
         self.recorder: TraceRecorder | None = None
         if tracing:
@@ -591,7 +558,7 @@ class SimulationServer(HttpEdge):
         return 200, {
             "protocol": PROTOCOL_VERSION,
             "status": "ok",
-            "version": _version(),
+            "version": package_version(),
             "uptime_seconds": time.time() - self.started_at,
         }
 
@@ -663,7 +630,7 @@ class SimulationServer(HttpEdge):
         document = {
             "protocol": PROTOCOL_VERSION,
             "server": {
-                "version": _version(),
+                "version": package_version(),
                 "uptime_seconds": counters["uptime_seconds"],
                 "host": self.host,
                 "port": self.port,
@@ -691,21 +658,6 @@ class SimulationServer(HttpEdge):
                 else None
             ),
         }
-        if self.disk is not None:
-            info = self.disk.info()
-            document["disk_cache"] = {
-                "root": str(info.root),
-                "files": info.files,
-                "total_bytes": info.total_bytes,
-                "startup_prune_removed_files": (
-                    self.startup_prune.removed_files
-                    if self.startup_prune is not None else 0
-                ),
-                "degraded": self.disk.degraded,
-                "write_errors": self.disk.write_errors,
-            }
-        else:
-            document["disk_cache"] = None
         return 200, document
 
     def handle_trace(self, request: Request) -> tuple[int, dict]:

@@ -1,21 +1,14 @@
-"""Unit tests for the prepare caches: the in-process LRU layer and the
-persistent on-disk artifact store (hash-keyed generate/compile skipping)."""
+"""Unit tests for the prepare cache: the in-process LRU layer
+(hash-keyed generate/compile skipping)."""
 
-import os
-import pickle
 import threading
-import time
 
 import pytest
 
 from repro.compiler.cache import (
-    DiskCache,
     PrepareCache,
-    artifact_key,
     clear_prepare_cache,
-    default_cache_dir,
     prepare_cache_stats,
-    resolve_disk,
     spec_fingerprint,
 )
 from repro.compiler.compiled import CompiledBackend
@@ -248,221 +241,6 @@ class TestConcurrentAccess:
         self._assert_invariants(cache, cache.stats.requests)
 
 
-class TestPrepareCachePickling:
-    def test_round_trip_keeps_entries_and_rebuilds_the_lock(self, counter_spec):
-        cache = PrepareCache(max_entries=4)
-        backend = ThreadedBackend(cache=cache)
-        backend.prepare(counter_spec)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert len(clone) == 1
-        # the clone is fully usable: its lock was rebuilt on unpickling.
-        # The first prepare reuses the cloned program (lowering skipped)
-        # but rebuilds the closure plans the program dropped on pickling;
-        # the second prepare is a full hit.
-        again = ThreadedBackend(cache=clone).prepare(counter_spec)
-        assert clone.stats.hits == 1
-        assert again.run(cycles=10).value("count") == 2
-        assert ThreadedBackend(cache=clone).prepare(counter_spec).cache_hit
-
-    def test_builtin_backends_are_picklable(self, counter_spec):
-        # what the process executor relies on for custom backend instances
-        for backend in (ThreadedBackend(), CompiledBackend()):
-            clone = pickle.loads(pickle.dumps(backend))
-            result = clone.prepare(counter_spec).run(cycles=10)
-            assert result.value("count") == 2
-
-
-class TestDiskCache:
-    def _lowered(self, spec):
-        from repro.lowering.program import lower_cached
-
-        return lower_cached(spec, True, None)[0]
-
-    def test_program_round_trip(self, counter_spec, tmp_path):
-        disk = DiskCache(tmp_path)
-        program = self._lowered(counter_spec)
-        disk.store_program("fp", "key", program)
-        loaded = disk.load_program("fp", "key")
-        assert loaded is not None
-        assert loaded.slots == program.slots
-        assert disk.stats.hits == 1
-
-    def test_missing_entry_is_a_miss(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        assert disk.load_program("nope", "key") is None
-        assert disk.load_source("nope", "key") is None
-        assert disk.stats.misses == 2
-
-    def test_truncated_program_file_falls_back_to_rebuild(
-        self, counter_spec, tmp_path
-    ):
-        from repro.lowering.program import lower_cached
-
-        disk = DiskCache(tmp_path)
-        _, hit = lower_cached(counter_spec, True, None, disk)
-        assert not hit  # first build populates the store
-        path = next(tmp_path.glob("*.ir"))
-        path.write_bytes(path.read_bytes()[:25])  # truncate mid-pickle
-        program, hit = lower_cached(counter_spec, True, None, disk)
-        assert not hit  # damaged entry read as a miss, clean rebuild
-        assert program.slots  # ... and the rebuild overwrote the bad file
-        _, hit = lower_cached(counter_spec, True, None, disk)
-        assert hit
-
-    def test_garbage_source_file_falls_back_to_generation(
-        self, counter_spec, tmp_path
-    ):
-        disk = DiskCache(tmp_path)
-        backend = CompiledBackend(cache=False, disk=disk)
-        first = backend.prepare(counter_spec)
-        path = next(tmp_path.glob("*.py"))
-        path.write_text("definitely not a cached module")
-        rebuilt = CompiledBackend(cache=False, disk=DiskCache(tmp_path))
-        prepared = rebuilt.prepare(counter_spec)
-        assert prepared.run(cycles=10).final_values == first.run(
-            cycles=10
-        ).final_values
-
-    def test_artifacts_from_another_code_version_are_misses(
-        self, counter_spec, tmp_path, monkeypatch
-    ):
-        """A codegen fix must not keep serving pre-fix artifacts: entries
-        are stamped with the package version and invalidated across it."""
-        import repro.compiler.cache as cache_mod
-
-        disk = DiskCache(tmp_path)
-        disk.store_program("fp", "key", self._lowered(counter_spec))
-        disk.store_source("fp", "key", "source = 1\n")
-        monkeypatch.setattr(cache_mod, "_code_version", lambda: "0.0.0-older")
-        stale = DiskCache(tmp_path)
-        assert stale.load_program("fp", "key") is None
-        assert stale.load_source("fp", "key") is None
-
-    def test_version_mismatch_is_a_miss(self, counter_spec, tmp_path):
-        disk = DiskCache(tmp_path)
-        program = self._lowered(counter_spec)
-        disk.store_program("fp", "key", program)
-        path = disk.path_for("fp", "key", "ir")
-        path.write_bytes(pickle.dumps({"format": -1, "artifact": program}))
-        assert disk.load_program("fp", "key") is None
-
-    def test_compiled_cold_start_skips_generation(self, counter_spec, tmp_path):
-        warm = CompiledBackend(cache=False, disk=DiskCache(tmp_path))
-        warm.prepare(counter_spec)
-        # a fresh process: new backend, empty in-process cache, same disk
-        cold_disk = DiskCache(tmp_path)
-        cold = CompiledBackend(cache=False, disk=cold_disk)
-        prepared = cold.prepare(counter_spec)
-        assert prepared.generate_seconds == 0.0  # source came from disk
-        assert cold_disk.stats.hits == 2  # the IR and the source
-        assert prepared.run(cycles=10).value("count") == 2
-
-    def test_specopt_configuration_keys_the_source(self, counter_spec,
-                                                   tmp_path):
-        """A specopt'd module must never be served to a non-specopt
-        backend (their step lists and entry points differ)."""
-        opt = CompiledBackend(specopt=True, cache=False,
-                              disk=DiskCache(tmp_path))
-        opt.prepare(counter_spec)
-        plain = CompiledBackend(specopt=False, cache=False,
-                                disk=DiskCache(tmp_path))
-        prepared = plain.prepare(counter_spec)
-        assert prepared.generate_seconds > 0.0  # fresh generation, no reuse
-        assert prepared.run(cycles=10).value("count") == 2
-        # one source entry per pass configuration
-        assert len(list(tmp_path.glob("*.py"))) == 2
-
-    def test_null_byte_source_falls_back_to_generation(self, counter_spec,
-                                                       tmp_path):
-        backend = CompiledBackend(cache=False, disk=DiskCache(tmp_path))
-        backend.prepare(counter_spec)
-        path = next(tmp_path.glob("*.py"))
-        # valid header, poisoned body: survives the decode + header check
-        # but compile() rejects it (ValueError, not SyntaxError)
-        path.write_text(path.read_text() + "\x00")
-        rebuilt = CompiledBackend(cache=False, disk=DiskCache(tmp_path))
-        assert rebuilt.prepare(counter_spec).run(cycles=10).value("count") == 2
-
-    def test_untrusted_root_is_never_read(self, counter_spec, tmp_path,
-                                          monkeypatch):
-        """Unpickling executes code, so a root owned by another uid (a
-        squatted temp path) must read as all-misses, not as artifacts."""
-        import os
-
-        import repro.compiler.cache as cache_mod
-
-        disk = DiskCache(tmp_path)
-        program = self._lowered(counter_spec)
-        disk.store_program("fp", "key", program)
-        assert DiskCache(tmp_path).load_program("fp", "key") is not None
-        other_uid = os.stat(tmp_path).st_uid + 1
-        monkeypatch.setattr(cache_mod, "_current_uid", lambda: other_uid)
-        untrusted = DiskCache(tmp_path)
-        assert untrusted.load_program("fp", "key") is None
-        assert untrusted.stats.misses == 1
-
-    def test_env_var_overrides_the_default_directory(
-        self, counter_spec, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert default_cache_dir() == tmp_path
-        backend = ThreadedBackend(cache=False, disk=True)
-        backend.prepare(counter_spec)
-        assert list(tmp_path.glob("*.ir"))
-
-    def test_resolve_disk_forms(self, tmp_path):
-        assert resolve_disk(None) is None
-        assert resolve_disk(False) is None
-        assert resolve_disk(str(tmp_path)).root == tmp_path
-        disk = DiskCache(tmp_path)
-        assert resolve_disk(disk) is disk
-        assert resolve_disk(True).root == default_cache_dir()
-
-    def test_concurrent_writers_never_clobber(self, counter_spec, tmp_path):
-        """Atomic rename: racing stores interleave with loads and every
-        load sees either a complete artifact or a miss — never a torn
-        file raising out of the cache."""
-        import threading
-
-        disk = DiskCache(tmp_path)
-        program = self._lowered(counter_spec)
-        # one entry exists before the race, so every load during it must
-        # observe a complete artifact (the whole point of atomic rename)
-        disk.store_program("fp", "key", program)
-        loaded_ok = []
-        barrier = threading.Barrier(8)
-
-        def writer():
-            barrier.wait()
-            for _ in range(20):
-                disk.store_program("fp", "key", program)
-
-        def reader():
-            barrier.wait()
-            for _ in range(40):
-                value = DiskCache(tmp_path).load_program("fp", "key")
-                if value is not None:
-                    loaded_ok.append(value.slots == program.slots)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)] + [
-            threading.Thread(target=reader) for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert loaded_ok and all(loaded_ok)
-        # no temp-file debris survived the stores
-        assert not list(tmp_path.glob("*.tmp-*"))
-
-    def test_artifact_key_is_stable_and_distinguishes(self):
-        options = CodegenOptions()
-        assert artifact_key(options) == artifact_key(CodegenOptions())
-        assert artifact_key(options) != artifact_key(
-            CodegenOptions.unoptimized()
-        )
-
-
 class TestGlobalCache:
     def test_global_counters_accumulate(self, counter_spec):
         clear_prepare_cache()
@@ -474,186 +252,3 @@ class TestGlobalCache:
         assert stats.hits >= 1
         clear_prepare_cache()
         assert prepare_cache_stats().requests == 0
-
-
-class TestDiskCachePrune:
-    """DiskCache.prune: LRU eviction, budgets, corruption GC, concurrency."""
-
-    @staticmethod
-    def _store(cache, key, body="x = 1\n", age=0.0):
-        """One source entry, *age* seconds old; returns its path."""
-        path = cache.store_source("f" * 8, key, body)
-        if age:
-            stamp = time.time() - age
-            os.utime(path, (stamp, stamp))
-        return path
-
-    def test_eviction_is_oldest_first(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        old = self._store(cache, "old", age=300)
-        middle = self._store(cache, "middle", age=200)
-        young = self._store(cache, "young", age=100)
-        survivor_budget = middle.stat().st_size + young.stat().st_size
-        report = cache.prune(max_bytes=survivor_budget)
-        assert report.removed_evicted == 1
-        assert not old.exists()
-        assert middle.exists() and young.exists()
-
-    def test_load_refreshes_lru_position(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        fingerprint = "f" * 8
-        loaded = self._store(cache, "loaded", age=300)
-        untouched = self._store(cache, "untouched", age=200)
-        # a successful load touches mtime, so the *other* entry is now LRU
-        assert cache.load_source(fingerprint, "loaded") is not None
-        report = cache.prune(max_bytes=loaded.stat().st_size)
-        assert report.removed_evicted == 1
-        assert loaded.exists()
-        assert not untouched.exists()
-
-    def test_budget_boundary_exactly_at_limit_keeps_everything(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        paths = [self._store(cache, f"k{i}", age=10 * i) for i in range(3)]
-        total = sum(path.stat().st_size for path in paths)
-        report = cache.prune(max_bytes=total)
-        assert report.removed_files == 0
-        assert report.remaining_bytes == total
-        # one byte less forces exactly one (the oldest) out
-        report = cache.prune(max_bytes=total - 1)
-        assert report.removed_evicted == 1
-        assert not paths[-1].exists()  # age grows with index: k2 is oldest
-
-    def test_zero_budget_empties_the_cache(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        for index in range(3):
-            self._store(cache, f"k{index}")
-        report = cache.prune(max_bytes=0)
-        assert report.removed_evicted == 3
-        assert report.remaining_files == 0
-        assert cache.info().total_bytes == 0
-
-    def test_max_age_boundary(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        now = time.time()
-        at_limit = self._store(cache, "at-limit")
-        os.utime(at_limit, (now - 100, now - 100))
-        expired = self._store(cache, "expired")
-        os.utime(expired, (now - 101, now - 101))
-        report = cache.prune(max_age=100, now=now)
-        assert report.removed_expired == 1
-        assert at_limit.exists()  # exactly max_age old is kept
-        assert not expired.exists()
-
-    def test_age_is_time_since_last_use_not_creation(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        path = self._store(cache, "k", age=500)
-        assert cache.load_source("f" * 8, "k") is not None  # touches mtime
-        report = cache.prune(max_age=100)
-        assert report.removed_expired == 0
-        assert path.exists()
-
-    def test_corrupted_entries_are_removed(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        good = self._store(cache, "good")
-        garbage_ir = tmp_path / "aaaa-bbbb.ir"
-        garbage_ir.write_bytes(b"not a pickle at all")
-        headerless_py = tmp_path / "cccc-dddd.py"
-        headerless_py.write_text("x = 1\n")
-        report = cache.prune()
-        assert report.removed_corrupt == 2
-        assert good.exists()
-        assert not garbage_ir.exists() and not headerless_py.exists()
-
-    def test_version_stale_entries_are_removed(self, counter_spec, tmp_path,
-                                               monkeypatch):
-        from repro.compiler import cache as cache_module
-        from repro.lowering import lower
-
-        cache = DiskCache(tmp_path)
-        fingerprint = spec_fingerprint(counter_spec)
-        cache.store_program(fingerprint, "key", lower(counter_spec))
-        monkeypatch.setattr(cache_module, "_code_version", lambda: "9.9.9")
-        report = cache.prune()
-        assert report.removed_corrupt == 1
-        assert cache.info().files == 0
-
-    def test_stale_tmp_files_are_collected_fresh_ones_kept(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        self._store(cache, "k")  # ensures the root exists
-        stale = tmp_path / "aaaa-bbbb.py.tmp-zzz"
-        stale.write_bytes(b"half-written")
-        old = time.time() - 2 * 3600
-        os.utime(stale, (old, old))
-        fresh = tmp_path / "aaaa-cccc.py.tmp-yyy"
-        fresh.write_bytes(b"being written right now")
-        report = cache.prune()
-        assert report.removed_stale_tmp == 1
-        assert not stale.exists()
-        assert fresh.exists()
-
-    def test_missing_root_is_an_empty_report(self, tmp_path):
-        cache = DiskCache(tmp_path / "never-created")
-        report = cache.prune(max_bytes=0)
-        assert report.scanned_files == 0
-        assert report.removed_files == 0
-
-    def test_negative_budgets_are_rejected(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        with pytest.raises(ValueError):
-            cache.prune(max_bytes=-1)
-        with pytest.raises(ValueError):
-            cache.prune(max_age=-1.0)
-
-    def test_info_counts_by_kind(self, counter_spec, tmp_path):
-        from repro.lowering import lower
-
-        cache = DiskCache(tmp_path)
-        self._store(cache, "src")
-        cache.store_program(spec_fingerprint(counter_spec), "key",
-                            lower(counter_spec))
-        info = cache.info()
-        assert info.files == 2
-        assert info.by_kind == {"ir": 1, "py": 1}
-        assert info.total_bytes > 0
-        assert str(tmp_path) in info.summary()
-
-    def test_concurrent_prune_while_load_never_errors(self, counter_spec,
-                                                      tmp_path):
-        cache = DiskCache(tmp_path)
-        fingerprint = spec_fingerprint(counter_spec)
-        stop = threading.Event()
-        failures: list[BaseException] = []
-
-        def loader():
-            while not stop.is_set():
-                try:
-                    cache.store_source(fingerprint, "hot", "x = 1\n")
-                    cache.load_source(fingerprint, "hot")
-                except BaseException as exc:  # noqa: BLE001
-                    failures.append(exc)
-                    return
-
-        def pruner():
-            while not stop.is_set():
-                try:
-                    cache.prune(max_bytes=0)
-                except BaseException as exc:  # noqa: BLE001
-                    failures.append(exc)
-                    return
-
-        threads = [threading.Thread(target=loader) for _ in range(3)] + [
-            threading.Thread(target=pruner) for _ in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.4)
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert not failures
-
-    def test_prune_counts_into_eviction_stats(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        self._store(cache, "k")
-        cache.prune(max_bytes=0)
-        assert cache.stats.evictions == 1

@@ -185,3 +185,53 @@ class TestOptimizationEquivalence:
         backend = CompiledBackend(options)
         result = backend.run(spec, cycles=workload.cycles_needed)
         assert result.output_integers() == workload.outputs
+
+
+def pin_wrapped(name, value, cycle):
+    return 0 if name == "wrapped" else value
+
+
+class TestPickling:
+    """A prepared simulation pickles: its generated source travels, and
+    unpickling only byte-compiles it — how a process-pool worker started
+    with ``spawn`` receives the pool's warm simulation."""
+
+    @pytest.mark.parametrize("specopt", [False, True])
+    def test_round_trip_only_byte_compiles(self, counter_spec, monkeypatch,
+                                           specopt):
+        import pickle
+
+        from repro.compiler import compiled
+        from repro.core.comparison import compare_results
+
+        warm = CompiledBackend(specopt=specopt, cache=False).prepare(
+            counter_spec
+        )
+        payload = pickle.dumps(warm)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickling must not lower or generate code")
+
+        monkeypatch.setattr(compiled, "generate_program_python", refuse)
+        monkeypatch.setattr(compiled, "lower_cached", refuse)
+        shipped = pickle.loads(payload)
+        assert shipped.source == warm.source
+        for options in ({}, {"collect_stats": False, "trace": False},
+                        {"override": pin_wrapped}):
+            assert compare_results(
+                warm.run(cycles=12, **options),
+                shipped.run(cycles=12, **options),
+                compare_trace=True, compare_stats=True,
+            ) == []
+        lanes = [
+            (warm_lane.result, shipped_lane.result)
+            for warm_lane, shipped_lane in zip(
+                warm.run_lanes(cycles=12, ios=[QueueIO(), QueueIO()],
+                               collect_stats=False),
+                shipped.run_lanes(cycles=12, ios=[QueueIO(), QueueIO()],
+                                  collect_stats=False),
+            )
+        ]
+        assert len(lanes) == 2
+        for reference, candidate in lanes:
+            assert compare_results(reference, candidate) == []

@@ -88,6 +88,14 @@ class TestMachinesAndDemo:
         with pytest.raises(KeyError):
             main(["demo", "does-not-exist"])
 
+    def test_cache_is_not_a_command(self, capsys):
+        # prepared artifacts live only in memory; there is nothing on
+        # disk to inspect or prune
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "info"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cache'" in capsys.readouterr().err
+
 
 class TestNetlistCommand:
     def test_netlist_output(self, spec_file, capsys):

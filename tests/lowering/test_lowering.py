@@ -174,8 +174,7 @@ class TestPicklability:
         )
         assert direct.run(cycles=12).final_values == reference.final_values
 
-        # threaded/compiled: seed a fresh cache with the shipped program,
-        # exactly as a worker process does
+        # threaded/compiled: seed a fresh cache with the shipped program
         worker_cache = PrepareCache()
         key = worker_cache.key_for("lowered", counter_spec, warm.program.passes)
         worker_cache.get_or_create(key, lambda: shipped)

@@ -4,7 +4,7 @@ The load-bearing property: a round trip through the JSON document is
 *identity-preserving* — for every bundled machine and for arbitrary
 generated machines, ``spec_from_json(spec_to_json(spec))`` has the same
 textual fingerprint (:func:`~repro.compiler.cache.spec_fingerprint`, the
-DiskCache / PoolRegistry key) and the same lowered-IR fingerprint
+PrepareCache / PoolRegistry key) and the same lowered-IR fingerprint
 (:func:`~repro.fuzz.differential.ir_fingerprint`, the artifact every
 backend consumes) as the original.  The rest is the format's contract:
 three accepted expression shapes, strict unknown-key rejection, size

@@ -6,14 +6,15 @@ over a worker pool must not change a single observable bit — final
 component values, full memory contents, and the memory-mapped output
 stream all match a sequential run of the same prepared backend.  The
 sweep covers every configuration that reorganises execution: worker
-processes binding to the lowered program pickled to them at pool
-startup, and lane groups running N variants through one walk of the
+processes running the pool's warm prepared simulation shipped to them at
+pool startup, and lane groups running N variants through one walk of the
 dependency schedule (inline on the serial strategy, and inside process
 workers).
 """
 
 import pytest
 
+from repro.core.comparison import compare_results
 from repro.core.simulator import BACKEND_NAMES, make_backend
 from repro.machines.library import all_machines, get_machine
 from repro.serving import RunRequest, SimulationPool
@@ -146,6 +147,37 @@ def test_lane_inside_process_workers_stays_identical(backend_name):
         batch = pool.run_batch(runs)
     assert batch.ok, [str(item.error) for item in batch.failures]
     assert [observables(item.result) for item in batch.items] == sequential
+
+
+def test_compiled_stats_lanes_run_the_compiled_kernel(monkeypatch):
+    """Stats-on lane groups on the compiled backend run each lane on the
+    generated kernel, never the generic lane evaluator (patched to raise
+    here), so every lane — statistics included — is its scalar run."""
+    import repro.lowering.lanes as lanes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generic lane evaluator ran")
+
+    monkeypatch.setattr(lanes, "run_lanes", refuse)
+    spec = get_machine("gcd").build()
+    runs = [
+        RunRequest(cycles=16, inputs=(i, i + 1), trace=False)
+        for i in range(8)
+    ]
+    prepared = make_backend("compiled").prepare(spec)
+    sequential = [
+        prepared.run(cycles=run.cycles, io=run.make_io(), trace=False)
+        for run in runs
+    ]
+    with SimulationPool(spec, backend="compiled", executor="serial",
+                        lane_width=4) as pool:
+        batch = pool.run_batch(runs)
+    assert batch.ok, [str(item.error) for item in batch.failures]
+    assert all("lane_group" in {span.name for span in item.spans}
+               for item in batch.items)
+    for reference, item in zip(sequential, batch.items):
+        assert compare_results(reference, item.result,
+                               compare_stats=True) == []
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)

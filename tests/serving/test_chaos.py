@@ -2,7 +2,7 @@
 
 Each test injects one failure mode — a dying worker process, a run that
 overshoots its deadline, a hard-hung worker, a backend whose prepare
-explodes, a disk cache on failing storage, a saturated admission gate —
+explodes, a saturated admission gate —
 and asserts the same contract everywhere: the system answers with a
 structured error or a degraded-but-correct result, it never hangs
 (bounded by the deadline backstop) and never crashes, and requests that
@@ -317,7 +317,7 @@ class TestGracefulDegradation:
             raise RuntimeError("chaos: code generator is down")
 
         monkeypatch.setattr(CompiledBackend, "prepare", broken_prepare)
-        with SimulationServer(port=0, artifact_cache=False) as server:
+        with SimulationServer(port=0) as server:
             status, document, _ = post(server, "/v1/batch", {
                 "machine": "counter", "backend": "compiled",
                 "runs": [{"cycles": CYCLES}],
@@ -353,7 +353,7 @@ class TestGracefulDegradation:
             raise RuntimeError(f"chaos: {type(self).__name__} down")
 
         monkeypatch.setattr(InterpreterBackend, "prepare", broken_prepare)
-        registry = PoolRegistry(artifact_cache=False)
+        registry = PoolRegistry()
         try:
             batch = parse_batch_request(
                 {"machine": "counter", "backend": "interpreter",
@@ -365,40 +365,10 @@ class TestGracefulDegradation:
         finally:
             registry.close_all()
 
-    def test_smoke_disk_cache_degrades_to_memory_only(self, tmp_path,
-                                                      counter_spec):
-        from repro.compiler.cache import DiskCache
-
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("a file where the cache root must go")
-        cache = DiskCache(blocker / "cache")
-
-        # the process pool seeds the artifact cache at startup; the
-        # failing disk degrades it to memory-only instead of failing
-        # pool construction
-        with pytest.warns(RuntimeWarning, match="memory-only"):
-            pool = SimulationPool(counter_spec, backend="threaded",
-                                  executor="process", max_workers=1,
-                                  artifact_cache=cache)
-        try:
-            batch = pool.run_batch([RunRequest(cycles=CYCLES)])
-            assert batch.ok, [str(item.error) for item in batch.failures]
-            result = batch.items[0].result
-        finally:
-            pool.close(wait=False)
-        assert cache.degraded is True
-        assert cache.write_errors >= 1
-        # degraded to memory-only, but the answer is still correct
-        with SimulationPool(counter_spec, backend="threaded",
-                            executor="serial",
-                            artifact_cache=False) as reference_pool:
-            reference = reference_pool.run(RunRequest(cycles=CYCLES))
-        assert compare_results(reference, result) == []
-
 
 class TestBackpressure:
     def test_smoke_saturated_server_answers_429_and_readyz_not_ready(self):
-        with SimulationServer(port=0, artifact_cache=False, max_inflight=1,
+        with SimulationServer(port=0, max_inflight=1,
                               max_queue=0, retry_after=2.0) as server:
             # take the only slot, exactly as an in-flight request would
             server.gate.acquire()
@@ -431,7 +401,7 @@ class TestBackpressure:
             assert status == 200
 
     def test_queued_request_waits_for_a_slot_instead_of_429(self):
-        with SimulationServer(port=0, artifact_cache=False, max_inflight=1,
+        with SimulationServer(port=0, max_inflight=1,
                               max_queue=4) as server:
             server.gate.acquire()
             release = __import__("threading").Timer(
@@ -448,7 +418,7 @@ class TestBackpressure:
             assert document["result"]["cycles_run"] == CYCLES
 
     def test_readyz_reports_draining_after_close(self):
-        server = SimulationServer(port=0, artifact_cache=False).start()
+        server = SimulationServer(port=0).start()
         # flip the draining flag the way close() does, while the
         # listener is still up (close() itself takes the listener down)
         server._closed = True
@@ -463,7 +433,7 @@ class TestBackpressure:
 
 class TestDeadlinesOverHttp:
     def test_smoke_deadline_is_a_structured_504(self):
-        with SimulationServer(port=0, artifact_cache=False) as server:
+        with SimulationServer(port=0) as server:
             status, document, _ = post(
                 server, "/v1/run",
                 {"machine": "counter", "cycles": 50_000,
@@ -473,7 +443,7 @@ class TestDeadlinesOverHttp:
             assert document["error"]["type"] == "deadline_exceeded"
 
     def test_header_default_applies_to_runs_without_their_own(self):
-        with SimulationServer(port=0, artifact_cache=False) as server:
+        with SimulationServer(port=0) as server:
             status, document, _ = post(
                 server, "/v1/batch",
                 {"machine": "counter",
@@ -489,7 +459,7 @@ class TestDeadlinesOverHttp:
             assert document["worker_crashes"] == 0
 
     def test_garbage_timeout_header_is_structured_400(self):
-        with SimulationServer(port=0, artifact_cache=False) as server:
+        with SimulationServer(port=0) as server:
             for bad in ("soon", "-1", "0", "nan"):
                 status, document, _ = post(
                     server, "/v1/run",
@@ -519,8 +489,7 @@ class TestFleetChaos:
             for i in range(3)
         ]
         with ServingFleet(nodes=2, quorum=1, health_interval=0.1,
-                          start_timeout=90.0,
-                          child_args=["--no-disk-cache"]) as fleet:
+                          start_timeout=90.0) as fleet:
             # a cheap run with the same shard triple finds the home node
             status, _doc, headers = post(
                 fleet, "/v1/run",

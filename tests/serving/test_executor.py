@@ -1,19 +1,19 @@
 """Tests for the execution strategies (serial / process) and the aliases.
 
-The process strategy is the interesting one: the lowered program is
-pickled to worker processes once at pool startup, requests travel in
-chunks, and per-item error capture must survive the process boundary —
-including requests that cannot cross it at all (an unpicklable override).
-The input names ``thread`` and ``lane`` resolve onto the serial strategy.
+The process strategy is the interesting one: the pool's warm prepared
+simulation reaches worker processes once at pool startup (inherited on
+``fork``, unpickled on ``spawn``), requests travel in chunks, and
+per-item error capture must survive the process boundary — including
+requests that cannot cross it at all (an unpicklable override).  The
+input names ``thread`` and ``lane`` resolve onto the serial strategy.
 """
 
 import threading
 
 import pytest
 
-from repro.compiler.cache import DiskCache, PrepareCache
 from repro.compiler.compiled import CompiledBackend
-from repro.compiler.threaded import ThreadedBackend
+from repro.core.comparison import compare_results
 from repro.core.simulator import BACKEND_NAMES, make_backend
 from repro.errors import ServingError, SimulationError
 from repro.lowering.lanes import DEFAULT_LANE_WIDTH
@@ -22,10 +22,10 @@ from repro.serving import (
     BatchRequest,
     RunRequest,
     SimulationPool,
-    WorkerContext,
     run_batch,
 )
-from repro.serving.executor import resolve_executor, worker_context_for
+from repro.serving.executor import resolve_executor
+from repro.serving.protocol import ConstantOverride
 
 
 def _observables(result):
@@ -42,7 +42,17 @@ def stuck_wrapped(name, value, cycle):
 
 
 class CustomCompiledBackend(CompiledBackend):
-    """A third-party-style backend: ships to workers as a pickled instance."""
+    """A third-party-style backend (its instances never leave the parent)."""
+
+
+class UnpicklableSimulationBackend(CompiledBackend):
+    """A third-party-style backend whose prepared simulation holds a
+    lambda, so it cannot reach a process worker."""
+
+    def prepare(self, spec):
+        prepared = super().prepare(spec)
+        prepared.callback = lambda: None
+        return prepared
 
 
 class TestStrategyEquivalence:
@@ -189,13 +199,24 @@ class TestProcessStrategy:
         assert [item.ok for item in batch.items] == [False, True]
         assert batch.failures[0].worker is None  # never reached a worker
 
-    def test_unpicklable_backend_rejected_eagerly(self, counter_spec):
-        # a non-built-in backend must pickle; an instance attribute holding
-        # a lambda defeats that, and the pool must say so at construction
-        backend = CustomCompiledBackend(cache=False)
-        backend.unpicklable = lambda: None
+    def test_unpicklable_simulation_rejected_eagerly(self, counter_spec):
+        # workers receive the prepared simulation, so that is what must
+        # pickle; a lambda on it defeats that, and the pool must say so
+        # at construction, before any worker exists
+        backend = UnpicklableSimulationBackend(cache=False)
         with pytest.raises(ServingError, match="picklable"):
             SimulationPool(counter_spec, backend=backend, executor="process")
+
+    def test_unpicklable_backend_with_picklable_simulation_serves(
+            self, counter_spec):
+        # the backend instance itself never crosses the process boundary
+        backend = CustomCompiledBackend(cache=False)
+        backend.unpicklable = lambda: None
+        with SimulationPool(counter_spec, backend=backend,
+                            executor="process", max_workers=1) as pool:
+            batch = pool.run_batch([RunRequest(cycles=10)])
+        assert batch.ok, [str(item.error) for item in batch.failures]
+        assert batch.items[0].result.value("count") == 2
 
     def test_batch_request_form_and_module_level_run_batch(self, counter_spec):
         request = BatchRequest.repeat(counter_spec, 4, cycles=10,
@@ -211,81 +232,30 @@ class TestProcessStrategy:
         with pytest.raises(ServingError):
             pool.run(RunRequest(cycles=1))
 
-    def test_artifact_cache_can_be_disabled(self, counter_spec):
-        with SimulationPool(counter_spec, backend="compiled",
-                            executor="process", max_workers=1,
-                            artifact_cache=False) as pool:
-            batch = pool.run_batch([RunRequest(cycles=5)] * 2)
-        assert batch.ok  # workers regenerate code instead of reading disk
-
-    def test_artifact_cache_directory_is_seeded(self, counter_spec, tmp_path):
-        disk = DiskCache(tmp_path)
-        with SimulationPool(counter_spec, backend="compiled",
-                            executor="process", max_workers=1,
-                            artifact_cache=disk) as pool:
-            batch = pool.run_batch([RunRequest(cycles=5)])
-        assert batch.ok
-        # the parent seeded both artifact kinds before any worker started
-        assert list(tmp_path.glob("*.ir"))
-        assert list(tmp_path.glob("*.py"))
-
-
-class TestWorkerContext:
-    """The worker bootstrap: bind a prepared simulation from the shipped
-    program without re-lowering (the pool initializer runs this in every
-    worker process; here it is exercised in-process for observability)."""
-
-    def _context(self, spec, backend):
-        warm = backend.prepare(spec)
-        return worker_context_for(spec, backend, warm, None), warm
-
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-    def test_builtin_backends_ship_by_name(self, counter_spec, backend_name):
-        context, warm = self._context(counter_spec,
-                                      make_backend(backend_name))
-        assert context.backend is None
-        assert context.backend_name == backend_name
-        assert context.program is warm.program
-
-    def test_bind_reuses_the_shipped_program(self, counter_spec):
-        context, warm = self._context(counter_spec, ThreadedBackend())
-        prepared = context.bind()
-        # no re-lowering: the worker's prepare is a hit on the shipped IR
-        assert prepared.program is context.program
-        assert prepared.cache_hit
-
-    def test_bind_interpreter_skips_lowering(self, counter_spec):
-        context, warm = self._context(
-            counter_spec, make_backend("interpreter")
-        )
-        prepared = context.bind()
-        assert prepared.program is context.program
-        assert prepared.prepare_seconds == 0.0
-
-    def test_bound_simulation_matches_the_warm_one(self, counter_spec):
-        context, warm = self._context(counter_spec, CompiledBackend())
-        assert _observables(context.bind().run(cycles=10)) == _observables(
-            warm.run(cycles=10)
-        )
-
-    def test_context_survives_pickling(self, counter_spec):
-        import pickle
-
-        context, _ = self._context(counter_spec, CompiledBackend())
-        shipped = pickle.loads(pickle.dumps(context))
-        result = shipped.bind().run(cycles=10)
-        assert result.value("count") == 2
-
-    def test_custom_picklable_backend_ships_as_instance(self, counter_spec):
-        backend = CompiledBackend(cache=False)
-        context, _ = self._context(counter_spec, backend)
-        # exact built-in type ships by name; a subclass ships pickled
-        assert context.backend_name == "compiled"
-
-        custom = CustomCompiledBackend(cache=False)
-        warm = custom.prepare(counter_spec)
-        context = worker_context_for(counter_spec, custom, warm, None)
-        assert context.backend is custom
+    def test_spawned_workers_are_bit_identical(self, counter_spec,
+                                               backend_name):
+        """``spawn`` is the start method that pickles the initializer
+        argument: every worker unpickles the pool's warm simulation."""
+        pinned = ConstantOverride((("wrapped", 0),))
+        runs = [RunRequest(cycles=9), RunRequest(cycles=16, trace=False),
+                RunRequest(cycles=12, collect_stats=False),
+                RunRequest(cycles=5, override=pinned)]
+        prepared = make_backend(backend_name).prepare(counter_spec)
+        sequential = [
+            prepared.run(cycles=run.cycles, io=run.make_io(),
+                         trace=run.trace, collect_stats=run.collect_stats,
+                         override=run.override)
+            for run in runs
+        ]
+        with SimulationPool(counter_spec, backend=backend_name,
+                            executor="process", max_workers=2,
+                            chunk_size=1, mp_context="spawn") as pool:
+            batch = pool.run_batch(runs)
+        assert batch.ok, [str(item.error) for item in batch.failures]
+        for reference, item in zip(sequential, batch.items):
+            assert compare_results(reference, item.result, compare_trace=True,
+                                   compare_stats=True) == []
 
 
 class TestPerWorkerAggregates:

@@ -20,7 +20,6 @@ chaos harness in ``test_chaos.py``.
 from __future__ import annotations
 
 import json
-import os
 import urllib.error
 import urllib.request
 
@@ -203,19 +202,10 @@ class TestCrashBookkeeping:
 
 
 @pytest.fixture(scope="module")
-def fleet(tmp_path_factory):
-    cache_dir = tmp_path_factory.mktemp("fleet-cache")
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
-    try:
-        with ServingFleet(nodes=2, health_interval=0.1,
-                          start_timeout=90.0) as running:
-            yield running
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = previous
+def fleet():
+    with ServingFleet(nodes=2, health_interval=0.1,
+                      start_timeout=90.0) as running:
+        yield running
 
 
 class TestFleetHttp:
@@ -350,7 +340,6 @@ def make_fleet(**kwargs):
     kwargs.setdefault("nodes", 2)
     kwargs.setdefault("health_interval", 0.05)
     kwargs.setdefault("start_timeout", 90.0)
-    kwargs.setdefault("child_args", ["--no-disk-cache"])
     return ServingFleet(**kwargs)
 
 

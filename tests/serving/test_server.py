@@ -5,8 +5,8 @@ with ``urllib`` — the same stack any external client uses.  The load-
 bearing assertions: batches served over HTTP are bit-identical to
 in-process ``SimulationPool`` runs on every backend; malformed and
 unsupported requests come back as structured 4xx errors, never stack
-traces; pools are created lazily and kept warm across requests; startup
-prunes the disk cache; shutdown is graceful.
+traces; pools are created lazily and kept warm across requests;
+shutdown is graceful.
 
 The HTTP edge cases (``TestEdge``) run against both apps on the shared
 edge: the node and a fleet router.
@@ -32,7 +32,7 @@ from repro.serving.router import FleetRouter
 
 @pytest.fixture(scope="module")
 def server():
-    with SimulationServer(port=0, artifact_cache=False) as running:
+    with SimulationServer(port=0) as running:
         yield running
 
 
@@ -41,7 +41,7 @@ def make_app(kind: str, **options):
     router answers every edge case before forwarding, so no child
     process is ever spawned."""
     if kind == "node":
-        return SimulationServer(port=0, artifact_cache=False, **options)
+        return SimulationServer(port=0, **options)
     return FleetRouter(FleetSupervisor(nodes=1), port=0, **options)
 
 
@@ -502,7 +502,7 @@ class TestServing:
                                result_from_json(single["result"])) == []
 
     def test_thread_and_serial_requests_share_one_pool(self):
-        with SimulationServer(port=0, artifact_cache=False) as fresh:
+        with SimulationServer(port=0) as fresh:
             for executor in ("thread", "serial"):
                 status, _ = post(fresh, "/v1/run", {
                     "machine": "counter", "cycles": 4, "executor": executor,
@@ -533,6 +533,14 @@ class TestServing:
         status, document = get(server, "/v1/stats")
         assert status == 200
         assert "lane_width" in document["config"]
+
+    def test_stats_blocks_are_the_documented_ones(self, server):
+        # the node keeps no artifact store of its own, so there is no
+        # cache block beside the documented ones
+        status, document = get(server, "/v1/stats")
+        assert status == 200
+        assert set(document) == {"protocol", "server", "config", "requests",
+                                 "resilience", "pools", "tracing"}
 
     def test_per_item_errors_do_not_kill_the_batch(self, server):
         status, document = post(server, "/v1/batch", {
@@ -571,18 +579,17 @@ class TestServing:
 class TestRobustness:
     def test_body_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="max_body_bytes"):
-            SimulationServer(port=0, artifact_cache=False, max_body_bytes=0)
+            SimulationServer(port=0, max_body_bytes=0)
 
     def test_close_reports_a_clean_drain(self):
-        server = SimulationServer(port=0, artifact_cache=False,
-                                  drain_timeout=5.0).start()
+        server = SimulationServer(port=0, drain_timeout=5.0).start()
         assert get(server, "/healthz")[0] == 200
         assert server.close() is True
         assert server.drain_failed is False
 
     def test_drain_timeout_must_be_non_negative(self):
         with pytest.raises(ValueError, match="drain_timeout"):
-            SimulationServer(port=0, artifact_cache=False, drain_timeout=-1.0)
+            SimulationServer(port=0, drain_timeout=-1.0)
 
     def test_unpicklable_override_is_per_item_error_not_500(self, server,
                                                             monkeypatch):
@@ -613,30 +620,8 @@ class TestRobustness:
 
 
 class TestLifecycle:
-    def test_startup_prune_bounds_the_cache_dir(self, tmp_path):
-        from repro.compiler.cache import DiskCache
-
-        cache = DiskCache(tmp_path)
-        for index in range(6):
-            cache.store_source("f" * 8, f"k{index}", "x = 1\n" * 50)
-        budget = 2 * (tmp_path / "ffffffff-k0.py").stat().st_size
-        server = SimulationServer(port=0, artifact_cache=cache,
-                                  cache_max_bytes=budget)
-        try:
-            assert server.startup_prune is not None
-            assert server.startup_prune.removed_evicted == 4
-            assert cache.info().total_bytes <= budget
-        finally:
-            server.close()
-
-    def test_stats_reports_the_disk_cache(self, tmp_path):
-        with SimulationServer(port=0, artifact_cache=tmp_path) as running:
-            status, document = get(running, "/v1/stats")
-        assert status == 200
-        assert document["disk_cache"]["root"] == str(tmp_path)
-
     def test_close_is_idempotent_and_graceful(self):
-        server = SimulationServer(port=0, artifact_cache=False).start()
+        server = SimulationServer(port=0).start()
         status, _ = get(server, "/healthz")
         assert status == 200
         server.close()
@@ -645,7 +630,7 @@ class TestLifecycle:
             get(server, "/healthz")
 
     def test_close_without_start_does_not_hang(self):
-        server = SimulationServer(port=0, artifact_cache=False)
+        server = SimulationServer(port=0)
         server.close()  # never served: must not deadlock on shutdown()
 
 
@@ -658,7 +643,7 @@ class TestPoolEviction:
         from repro.serving.protocol import parse_batch_request
         from repro.serving.server import PoolRegistry
 
-        registry = PoolRegistry(artifact_cache=False, max_pools=2)
+        registry = PoolRegistry(max_pools=2)
 
         def batch_for(machine):
             return parse_batch_request(
@@ -687,7 +672,7 @@ class TestPoolEviction:
     def test_eviction_counter_in_resilience_totals(self):
         from repro.serving.server import PoolRegistry
 
-        registry = PoolRegistry(artifact_cache=False, max_pools=1)
+        registry = PoolRegistry(max_pools=1)
         assert registry.resilience_totals()["pool_evictions"] == 0
         registry.close_all()
 
@@ -698,8 +683,7 @@ class TestPoolEviction:
             PoolRegistry(max_pools=0)
 
     def test_eviction_over_http_stays_correct(self):
-        with SimulationServer(port=0, artifact_cache=False,
-                              backend="interpreter",
+        with SimulationServer(port=0, backend="interpreter",
                               max_pools=1) as server:
             for machine in ("counter", "gcd", "counter"):
                 status, document = post(
@@ -737,7 +721,7 @@ class TestSignalDrain:
         )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--port-file", str(port_file), "--no-disk-cache"],
+             "--port-file", str(port_file)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
         )

@@ -17,9 +17,8 @@ Four stories, each load-bearing for a different guarantee:
   metric families, in parseable Prometheus text exposition format, and
   the fleet router merges child payloads under per-node labels.
 * **Counter atomicity** — the regression tests for the lost-update race
-  on ``/v1/stats``-surfaced counters (server route counters and the
-  :class:`~repro.compiler.cache.DiskCache` hit/miss/write-error
-  counters), hammered from many threads with a tiny switch interval.
+  on ``/v1/stats``-surfaced counters (the server route counters),
+  hammered from many threads with a tiny switch interval.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def spec_for(name: str):
 @pytest.fixture(scope="module")
 def server():
     with SimulationServer(
-        port=0, artifact_cache=False, max_workers=2, max_pools=4,
+        port=0, max_workers=2, max_pools=4,
         trace_ring=512,
     ) as running:
         yield running
@@ -240,7 +239,7 @@ class TestSpanCompletenessMatrix:
     def test_server_lane_width_groups_default_requests(self):
         # --lane-width applies to the default (serial) pools, not only to
         # process pools and lane requests
-        with SimulationServer(port=0, artifact_cache=False,
+        with SimulationServer(port=0,
                               lane_width=4) as lanes:
             status, document, headers = post(lanes, "/v1/batch", {
                 "machine": "counter",
@@ -611,44 +610,6 @@ class TestCounterAtomicity:
         self.hammer(spin)
         expected = before + self.THREADS * self.PER_THREAD
         assert server.request_counts()["by_route"]["/hammer"] == expected
-
-    def test_disk_cache_write_errors_are_exact(self, tmp_path):
-        from repro.compiler.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache")
-
-        def spin():
-            for _ in range(self.PER_THREAD):
-                cache._note_write_failure(OSError("synthetic"))
-
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            self.hammer(spin)
-        assert cache.write_errors == self.THREADS * self.PER_THREAD
-        assert cache.degraded
-
-    def test_disk_cache_miss_counters_are_exact(self, tmp_path):
-        from repro.compiler.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache")
-
-        def spin():
-            for _ in range(self.PER_THREAD):
-                cache.load_program("0" * 64, "missing")
-
-        self.hammer(spin)
-        assert cache.stats.misses == self.THREADS * self.PER_THREAD
-
-    def test_disk_cache_survives_pickling(self, tmp_path):
-        import pickle
-
-        from repro.compiler.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache")
-        clone = pickle.loads(pickle.dumps(cache))
-        clone._count_hit()  # the lock was rebuilt on the other side
-        assert clone.stats.hits == 1
 
 
 class TestFleetTracing:
