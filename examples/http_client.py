@@ -71,8 +71,9 @@ def main() -> int:
                         help="server base URL (default: %(default)s)")
     parser.add_argument("--machine", default="counter",
                         help="bundled machine to simulate (default: counter)")
-    parser.add_argument("--backend", default="threaded",
-                        help="simulation backend (default: threaded)")
+    parser.add_argument("--backend", default=None,
+                        help="simulation backend (default: the server's "
+                        "--backend, compiled unless set)")
     parser.add_argument("--runs", type=int, default=8,
                         help="runs in the batch (default: 8)")
     parser.add_argument("--cycles", type=int, default=None,
@@ -87,9 +88,10 @@ def main() -> int:
     print(f"{len(machines)} machines served: "
           + ", ".join(entry["name"] for entry in machines))
 
+    # a request without a backend field runs on the server's default
+    chosen = {} if args.backend is None else {"backend": args.backend}
     single = call(args.url, "/v1/run", {
-        "machine": args.machine, "backend": args.backend,
-        "cycles": args.cycles,
+        "machine": args.machine, "cycles": args.cycles, **chosen,
     })
     result = single["result"]
     outputs = [event["value"] for event in result["outputs"]]
@@ -98,7 +100,7 @@ def main() -> int:
           + (" ..." if len(outputs) > 8 else ""))
 
     batch = call(args.url, "/v1/batch", {
-        "machine": args.machine, "backend": args.backend,
+        "machine": args.machine, **chosen,
         "runs": [{"cycles": args.cycles, "tag": f"run-{index}"}
                  for index in range(args.runs)],
     })

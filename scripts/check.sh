@@ -13,12 +13,13 @@ python -m compileall -q src
 echo "== docs gate =="
 python scripts/check_docs.py
 
-echo "== server smoke (boot, /healthz, one /v1/run, hostile bodies, graceful shutdown) =="
+echo "== server smoke (boot, /healthz, two kept-alive /v1/run, hostile bodies, graceful shutdown) =="
 # the long-lived HTTP server must come up on an ephemeral port, answer a
-# liveness probe and serve one real simulation over the wire, answer a
-# body that is not UTF-8 with a structured 400, keep a kept-alive
-# connection in sync past a GET body, then drain cleanly — so the
-# serving front door cannot rot between full test runs
+# liveness probe and serve two real simulations on the default backend
+# over one kept-alive connection, answer a body that is not UTF-8 with a
+# structured 400, keep a kept-alive connection in sync past a GET body,
+# then drain cleanly — so the serving front door cannot rot between full
+# test runs
 python - <<'SMOKE'
 import http.client, json, sys, urllib.request
 from repro.serving import SimulationServer
@@ -27,13 +28,20 @@ with SimulationServer(port=0) as server:
     with urllib.request.urlopen(server.url + "/healthz", timeout=30) as r:
         health = json.loads(r.read())
     assert health["status"] == "ok", health
-    body = json.dumps({"machine": "counter", "cycles": 24,
-                       "backend": "threaded"}).encode()
-    with urllib.request.urlopen(urllib.request.Request(
-            server.url + "/v1/run", data=body), timeout=60) as r:
+    connection = http.client.HTTPConnection(server.host, server.port,
+                                            timeout=60)
+    runs = []
+    for cycles in (24, 12):
+        connection.request("POST", "/v1/run", body=json.dumps(
+            {"machine": "counter", "cycles": cycles}).encode())
+        r = connection.getresponse()
         run = json.loads(r.read())
-    assert run["result"]["cycles_run"] == 24, run
-    assert run["result"]["outputs"], run
+        assert r.status == 200, (r.status, run)
+        assert run["result"]["cycles_run"] == cycles, run
+        assert run["result"]["outputs"], run
+        runs.append(run)
+    assert runs[0]["backend"] == "compiled", runs[0]
+    connection.close()
     connection = http.client.HTTPConnection(server.host, server.port,
                                             timeout=30)
     connection.request("POST", "/v1/run",
@@ -54,8 +62,9 @@ with SimulationServer(port=0) as server:
     assert r.status == 200, r.status
     assert json.loads(r.read())["status"] == "ok"
     connection.close()
-print("server smoke: healthz ok, one run served, non-UTF-8 body 400, "
-      "GET body kept the connection in sync, shut down cleanly")
+print("server smoke: healthz ok, two kept-alive runs served on compiled, "
+      "non-UTF-8 body 400, GET body kept the connection in sync, shut "
+      "down cleanly")
 SMOKE
 
 echo "== fleet smoke (boot 2 nodes, route a run, SIGKILL failover, rolling drain) =="
@@ -234,12 +243,16 @@ echo "== differential fuzz smoke (fixed seed, full backend x executor matrix) ==
 # can silently rot between full fuzz sessions
 python -m repro fuzz --seed 7 --count 20
 
-echo "== perfbench correctness smoke (sieve-stats, cold-specs) =="
-# the two stats-on benchmark workloads digest every op's observables,
-# full statistics included, against a threaded reference run; a one-second
-# run of each must report "correct": true on its last line, so a compiled
-# kernel that miscounts cannot pass on green unit tests alone
-for workload in sieve-stats cold-specs; do
+echo "== perfbench correctness smoke (all four workloads) =="
+# every benchmark workload checks every op: fig51-fast, sieve-stats and
+# cold-specs digest each op's observables (the stats-on two, full
+# statistics included) against a reference run, and serve-keepalive
+# compares every served result with an in-process interpreter run, now
+# through the server's default (compiled) backend; a one-second run of
+# each must report "correct": true on its last line, so a kernel that
+# miscounts or a server that misroutes cannot pass on green unit tests
+# alone
+for workload in fig51-fast sieve-stats cold-specs serve-keepalive; do
     result="$(python3 perfbench/run.py --ref-nominal-ms 3.0 \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
     python - "$workload" "$result" <<'PERFSMOKE'

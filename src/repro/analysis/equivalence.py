@@ -15,7 +15,7 @@ from typing import Sequence
 
 from repro.analysis.faults import inject_stuck_at
 from repro.core.comparison import ComparisonResult, compare_backends
-from repro.core.simulator import Simulator
+from repro.core.simulator import DEFAULT_BACKEND, Simulator
 from repro.machines.library import all_machines
 from repro.rtl.spec import Specification
 
@@ -63,7 +63,7 @@ def fault_detection_experiment(
     components: Sequence[str],
     cycles: int,
     stuck_value: int = 0,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
 ) -> list[FaultDetection]:
     """Inject a stuck-at fault on each component and check the outputs change.
 

@@ -41,7 +41,7 @@ from typing import Sequence
 
 from repro.compiler import CodegenOptions, generate_pascal, generate_python
 from repro.core.iosystem import QueueIO
-from repro.core.simulator import BACKEND_NAMES, Simulator
+from repro.core.simulator import BACKEND_NAMES, DEFAULT_BACKEND, Simulator
 from repro.errors import AsimError
 from repro.machines.library import all_machines, get_machine
 from repro.rtl.parser import parse_spec_file
@@ -113,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of cycles (default: the spec's '= N' declaration)",
     )
     run_parser.add_argument(
-        "-b", "--backend", choices=BACKEND_NAMES, default="compiled",
-        help="simulation backend (default: compiled)",
+        "-b", "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
+        help=f"simulation backend (default: {DEFAULT_BACKEND})",
     )
     run_parser.add_argument(
         "-i", "--input", type=int, action="append", default=[],
@@ -133,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_parser.add_argument("name", help="machine name (see 'machines')")
     demo_parser.add_argument("-c", "--cycles", type=int, default=None)
     demo_parser.add_argument(
-        "-b", "--backend", choices=BACKEND_NAMES, default="compiled"
+        "-b", "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
+        help=f"simulation backend (default: {DEFAULT_BACKEND})",
     )
 
     netlist_parser = subparsers.add_parser(
@@ -178,8 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cycles per run (default: the spec's '= N' declaration)",
     )
     serve_parser.add_argument(
-        "-b", "--backend", choices=BACKEND_NAMES, default="threaded",
-        help="simulation backend (default: threaded)",
+        "-b", "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
+        help=f"simulation backend (default: {DEFAULT_BACKEND})",
     )
     serve_parser.add_argument(
         "-i", "--input", type=int, action="append", default=[],
@@ -205,9 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="TCP port to bind; 0 picks an ephemeral port (default: 8437)",
     )
     server_parser.add_argument(
-        "-b", "--backend", choices=BACKEND_NAMES, default="threaded",
+        "-b", "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
         help="default backend for requests that do not name one "
-        "(default: threaded)",
+        f"(default: {DEFAULT_BACKEND})",
     )
     server_parser.add_argument(
         "--executor", choices=EXECUTOR_CHOICES,
@@ -311,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="router TCP port; 0 picks an ephemeral port (default: 8437)",
     )
     fleet_parser.add_argument(
-        "-b", "--backend", choices=BACKEND_NAMES, default="threaded",
-        help="default backend forwarded to every child (default: threaded)",
+        "-b", "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
+        help="default backend forwarded to every child "
+        f"(default: {DEFAULT_BACKEND})",
     )
     fleet_parser.add_argument(
         "--executor", choices=EXECUTOR_CHOICES, default="serial",

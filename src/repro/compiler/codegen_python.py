@@ -31,6 +31,7 @@ dispatch (Figure 4.3).
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 
 from repro.compiler.emitter import CodeWriter
 from repro.compiler.optimizer import (
@@ -42,6 +43,7 @@ from repro.compiler.optimizer import (
     selector_constant_cases,
 )
 from repro.core.instrument import DEADLINE_CHECK_CYCLES
+from repro.errors import CompilationError
 from repro.rtl.alu_ops import FUNCTION_COUNT, function_info
 from repro.rtl.components import Alu, Memory, Selector
 from repro.rtl.dependency import sort_combinational
@@ -58,9 +60,23 @@ class PythonCodeGenerator:
     def __init__(
         self, spec: Specification, options: CodegenOptions | None = None
     ) -> None:
+        for name in spec.component_names():
+            # names are spliced into the generated code as variables
+            if not (name.isascii() and f"v_{name}".isidentifier()):
+                raise CompilationError(
+                    f"component name {name!r} cannot name a variable of "
+                    "the generated simulator"
+                )
         self.spec = spec
         self.options = options or CodegenOptions()
         self._combinational = sort_combinational(spec)
+        #: ALUs whose function code is not a valid constant, in schedule
+        #: order: the ones whose ``dologic`` call can reject their code
+        self._dynamic_alus = [
+            component for component in self._combinational
+            if isinstance(component, Alu)
+            and constant_alu_function(component) is None
+        ]
         self._memories = spec.memories()
         self._combinational_names = {c.name for c in self._combinational}
 
@@ -92,7 +108,8 @@ class PythonCodeGenerator:
             self._emit_initialisation(writer)
             writer.line("do_trace = trace_log is not None")
             writer.line("cyclecount = 0")
-            with writer.block("while cyclecount < cycles:"):
+            with self._naming_alu_errors(writer), \
+                    writer.block("while cyclecount < cycles:"):
                 self._emit_combinational(writer)
                 self._emit_cycle_trace(writer)
                 self._emit_memory_requests(writer)
@@ -110,7 +127,8 @@ class PythonCodeGenerator:
         writer.line(
             "from repro.compiler.runtime import ("
             "dologic, land, shift_left as _shift_left, "
-            "selector_case_error, memory_range_error)"
+            "selector_case_error, memory_range_error, "
+            "InvalidAluFunctionError, alu_function_error)"
         )
         writer.blank()
         writer.line(f"COMPONENT_COUNT = {len(self.spec.components)}")
@@ -184,6 +202,41 @@ class PythonCodeGenerator:
             writer.line(
                 f"selector_case_error({selector.name!r}, _i, {count}, cyclecount)"
             )
+
+    def _emit_alu_error_search(self, writer: CodeWriter) -> None:
+        """Rebind ``_exc`` to the other backends' error for the ALU whose
+        function code ``dologic`` rejected this cycle.
+
+        ``dologic`` knows neither the ALU nor the cycle.  The ALUs before
+        the failing one in schedule order accepted their codes, and every
+        function expression reads only values already computed this cycle,
+        so the first dynamic ALU whose code is out of range is the one.
+        """
+        writer.comment("name the ALU whose function code dologic rejected")
+        for index, alu in enumerate(self._dynamic_alus):
+            keyword = "elif" if index else "if"
+            code = f"(_f := {self._expr(alu.funct)})"
+            with writer.block(
+                f"{keyword} not 0 <= {code} < {FUNCTION_COUNT}:"
+            ):
+                writer.line(
+                    f"_exc = alu_function_error({alu.name!r}, _f, cyclecount)"
+                )
+
+    @contextmanager
+    def _naming_alu_errors(self, writer: CodeWriter):
+        """Wrap the cycle loop in a ``try`` whose handler raises a rejected
+        function code as the other backends do: ``cycle N: ALU 'a'
+        computed function code C``.  The ``try`` costs the loop nothing
+        until it raises; a machine without dynamic ALUs gets none."""
+        if not self._dynamic_alus:
+            yield
+            return
+        with writer.block("try:"):
+            yield
+        with writer.block("except InvalidAluFunctionError as _exc:"):
+            self._emit_alu_error_search(writer)
+            writer.line("raise _exc from None")
 
     def _emit_combinational(self, writer: CodeWriter) -> None:
         writer.comment("combinational components in dependency order")
@@ -376,6 +429,11 @@ class PythonCodeGenerator:
                         self._emit_memory_requests(writer)
                         self._emit_memory_updates(writer)
                     with writer.block("except SimulationError as _exc:"):
+                        if self._dynamic_alus:
+                            with writer.block(
+                                "if type(_exc) is InvalidAluFunctionError:"
+                            ):
+                                self._emit_alu_error_search(writer)
                         writer.line("_errors[_lane] = _exc")
                         writer.line("_faulted = True")
                     with writer.block("else:"):
@@ -451,7 +509,8 @@ class PythonCodeGenerator:
                 if not memory.address.is_constant:
                     writer.line(f"_ma_{memory.name} = set()")
             writer.line("cyclecount = 0")
-            with writer.block("while cyclecount < cycles:"):
+            with self._naming_alu_errors(writer), \
+                    writer.block("while cyclecount < cycles:"):
                 writer.comment("combinational components in dependency order")
                 for component in self._combinational:
                     if isinstance(component, Alu):

@@ -26,6 +26,18 @@ statement emitters (the paper's Section 4.4 specialisations included):
 * ``simulate_lanes`` — the lane fast path (N uninstrumented runs per walk
   of the schedule).
 
+Every entry point raises a rejected ALU function code as the other
+backends do — ``cycle N: ALU 'a' computed function code C`` — from a
+handler around its cycle loop (per lane in ``simulate_lanes``), so the
+hot loop pays nothing for it.
+
+The module is byte-compiled one section at a time (the prologue with the
+constant tables, then each entry point) and the sections execute in
+order into one namespace: the compiler's working memory follows the
+largest section, which keeps a warm server's resident memory down.
+``source`` stays the one module text, and tracebacks carry its line
+numbers.
+
 Two optional performance layers wrap the paper's pipeline:
 
 * the prepare cache (:mod:`repro.compiler.cache`, on by default) stores the
@@ -79,7 +91,7 @@ class CompiledSimulation(PreparedSimulation):
         spec: Specification,
         program: CycleProgram,
         source: str,
-        code: CodeType,
+        code: tuple[CodeType, ...],
         generate_seconds: float,
         compile_seconds: float,
         cache_hit: bool = False,
@@ -105,11 +117,13 @@ class CompiledSimulation(PreparedSimulation):
         self.cache_hit = cache_hit
         self._load(code)
 
-    def _load(self, code: CodeType) -> None:
-        """Execute the generated module and bind its entry points."""
+    def _load(self, code: tuple[CodeType, ...]) -> None:
+        """Execute the generated module's sections, in order, into one
+        namespace and bind its entry points."""
         namespace: dict = {"__name__": "repro_generated_simulator"}
         try:
-            exec(code, namespace)  # noqa: S102 - executing our own generated code
+            for section in code:
+                exec(section, namespace)  # noqa: S102 - our own generated code
             self._simulate = namespace["simulate"]
             self._simulate_instrumented = namespace["simulate_instrumented"]
             self._simulate_full = namespace.get("simulate_full")
@@ -254,11 +268,28 @@ class CompiledSimulation(PreparedSimulation):
         return outcomes
 
 
-def _byte_compile(source: str, spec: Specification) -> CodeType:
-    """The paper's "Pascal compile" phase: generated source -> code."""
+def _byte_compile(source: str, spec: Specification) -> tuple[CodeType, ...]:
+    """The paper's "Pascal compile" phase: generated source -> code.
+
+    The module compiles one section at a time — the prologue with the
+    constant tables, then each top-level ``def`` (one per entry point) —
+    so the compiler's working memory follows the largest section rather
+    than the whole module, and a warm process keeps less of it.  Each
+    section is compiled behind as many blank lines as precede it in
+    *source*, so tracebacks carry the module's own line numbers.
+    """
     module_name = f"<asim2 generated: {spec.source_name}>"
+    lines = source.splitlines(keepends=True)
+    starts = [0] + [
+        number for number, line in enumerate(lines)
+        if number and line.startswith("def ")
+    ]
     try:
-        return compile(source, module_name, "exec")
+        return tuple(
+            compile("\n" * start + "".join(lines[start:end]), module_name,
+                    "exec")
+            for start, end in zip(starts, starts[1:] + [len(lines)])
+        )
     except SyntaxError as exc:  # pragma: no cover - generator bug guard
         raise CompilationError(
             f"generated code for {spec.source_name} failed to compile: {exc}"
@@ -267,7 +298,7 @@ def _byte_compile(source: str, spec: Specification) -> CodeType:
 
 def _generate_and_compile(
     program: CycleProgram, options: CodegenOptions
-) -> tuple[str, CodeType, float, float]:
+) -> tuple[str, tuple[CodeType, ...], float, float]:
     """The paper's two timed preparation phases over a lowered program."""
     generate_start = time.perf_counter()
     source = generate_program_python(program, options)

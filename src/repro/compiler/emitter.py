@@ -30,7 +30,11 @@ class CodeWriter:
         return self.line("")
 
     def comment(self, text: str) -> "CodeWriter":
-        return self.line(f"# {text}")
+        """Append *text* as ``#`` comment lines, one per line of *text*, so
+        no line break in it (``\\r`` included) can end the comment."""
+        for part in text.splitlines() or [""]:
+            self.line(f"# {part}")
+        return self
 
     # -- indentation --------------------------------------------------------------
 

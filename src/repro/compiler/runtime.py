@@ -9,7 +9,11 @@ bounds checks call.
 
 from __future__ import annotations
 
-from repro.errors import MemoryRangeError, SelectorRangeError
+from repro.errors import (
+    InvalidAluFunctionError,
+    MemoryRangeError,
+    SelectorRangeError,
+)
 from repro.rtl.alu_ops import dologic, shift_left
 from repro.rtl.bits import WORD_MASK, land
 
@@ -20,6 +24,8 @@ __all__ = [
     "land",
     "selector_case_error",
     "memory_range_error",
+    "InvalidAluFunctionError",
+    "alu_function_error",
 ]
 
 
@@ -36,4 +42,12 @@ def memory_range_error(name: str, address: int, size: int, cycle: int) -> None:
         f"memory '{name}' address {address} outside its declared range "
         f"0..{size - 1}",
         cycle,
+    )
+
+
+def alu_function_error(name: str, code: int, cycle: int) -> InvalidAluFunctionError:
+    """The runtime error for an ALU whose function code is outside
+    0..13, returned for the generated handler to raise or record."""
+    return InvalidAluFunctionError(
+        f"ALU '{name}' computed function code {code}", cycle
     )

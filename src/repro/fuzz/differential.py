@@ -29,7 +29,10 @@ A failure is a :class:`DifferentialFailure` naming the configuration and
 the mismatches; :class:`DifferentialReport` aggregates them per spec.  A
 run that *raises* is also differential material: if the reference raises,
 every configuration must raise the same error type (a machine that breaks
-must break identically everywhere).
+must break everywhere), and the same type, cycle and message as its
+schedule class — compared like statistics, plain configs against the
+reference and specopt configs against the specopt'd interpreter, since
+spec-level optimization can drop or merge the failing component.
 
 :func:`ir_fingerprint` hashes the pickled lowered
 :class:`~repro.lowering.program.CycleProgram`, giving the fuzzer a strict
@@ -148,14 +151,19 @@ _TRACE = TraceOptions(trace_cycles=True, trace_memory_accesses=True)
 def _sequential_run(
     backend: Backend, spec: Specification, cycles: int,
     inputs: Sequence[int],
-) -> "SimulationResult | type":
+) -> "SimulationResult | SimulationError":
     try:
         return backend.run(
             spec, cycles=cycles, io=QueueIO(inputs, strict=False),
             trace=_TRACE,
         )
     except SimulationError as exc:
-        return type(exc)
+        return exc
+
+
+def _error_signature(error: SimulationError) -> str:
+    """What a raised run must reproduce: its type, cycle and message."""
+    return f"{type(error).__name__} at cycle {error.cycle}: {error}"
 
 
 def run_differential(
@@ -184,7 +192,7 @@ def run_differential(
     )
 
     # -- sequential phase ---------------------------------------------------
-    sequential: dict[str, SimulationResult | type] = {}
+    sequential: dict[str, SimulationResult | SimulationError] = {}
     for label, specopt, factory in matrix:
         sequential[label] = _sequential_run(
             _make_backend(factory, specopt), spec, cycles, inputs
@@ -192,39 +200,58 @@ def run_differential(
         report.configs_run += 1
 
     reference = sequential[REFERENCE_CONFIG]
-    if isinstance(reference, type):
+    # a custom (sabotage) matrix may omit the specopt'd interpreter; specopt
+    # stats and errors then have no same-schedule reference and are not
+    # compared
+    specopt_reference = sequential.get("interpreter+specopt")
+    if isinstance(reference, SimulationError):
         # the machine breaks on the reference: every configuration must
-        # break identically, and there is nothing to pool
-        report.reference_error = reference.__name__
-        for label, outcome in sequential.items():
+        # break identically within its schedule class, and there is
+        # nothing to pool
+        report.reference_error = type(reference).__name__
+        for label, specopt, _factory in matrix:
+            outcome = sequential[label]
             if label == REFERENCE_CONFIG:
                 continue
-            if not isinstance(outcome, type) or outcome is not reference:
+            if type(outcome) is not type(reference):
                 got = (
-                    outcome.__name__ if isinstance(outcome, type)
-                    else "a clean run"
+                    type(outcome).__name__
+                    if isinstance(outcome, SimulationError) else "a clean run"
                 )
                 report.failures.append(DifferentialFailure(
                     config=label,
                     mismatches=(
-                        f"reference raised {reference.__name__} but this "
-                        f"configuration produced {got}",
+                        f"reference raised {type(reference).__name__} but "
+                        f"this configuration produced {got}",
+                    ),
+                ))
+                continue
+            error_reference = specopt_reference if specopt else reference
+            if (
+                isinstance(error_reference, SimulationError)
+                and _error_signature(outcome)
+                != _error_signature(error_reference)
+            ):
+                report.failures.append(DifferentialFailure(
+                    config=label,
+                    mismatches=(
+                        f"raised {_error_signature(outcome)!r} but the "
+                        + ("specopt" if specopt else "reference")
+                        + " schedule class raised "
+                        + repr(_error_signature(error_reference)),
                     ),
                 ))
         return report
 
-    # a custom (sabotage) matrix may omit the specopt'd interpreter; specopt
-    # stats then have no same-schedule reference and are not compared
-    specopt_reference = sequential.get("interpreter+specopt")
     for label, specopt, _factory in matrix:
         outcome = sequential[label]
         if label == REFERENCE_CONFIG:
             continue
-        if isinstance(outcome, type):
+        if isinstance(outcome, SimulationError):
             report.failures.append(DifferentialFailure(
                 config=label,
-                mismatches=(f"raised {outcome.__name__} but the reference "
-                            "ran cleanly",),
+                mismatches=(f"raised {type(outcome).__name__} but the "
+                            "reference ran cleanly",),
             ))
             continue
         mismatches = compare_results(reference, outcome, compare_trace=True)
@@ -233,7 +260,7 @@ def run_differential(
         stats_reference = specopt_reference if specopt else reference
         if (
             stats_reference is not None
-            and not isinstance(stats_reference, type)
+            and not isinstance(stats_reference, SimulationError)
             and outcome.stats != stats_reference.stats
         ):
             mismatches.append(
@@ -265,7 +292,7 @@ def run_differential(
         for label, specopt, factory in matrix:
             config = f"{label}@{executor}"
             expected = sequential[label]
-            if isinstance(expected, type):  # pragma: no cover - guarded above
+            if isinstance(expected, SimulationError):  # pragma: no cover
                 continue
             try:
                 with SimulationPool(

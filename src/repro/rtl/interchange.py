@@ -53,6 +53,7 @@ import json
 from typing import Any, Mapping
 
 from repro.errors import (
+    InvalidNameError,
     SpecFormatError,
     SpecificationError,
     ValidationError,
@@ -66,6 +67,8 @@ from repro.rtl.expressions import (
     Field,
     parse_expression,
 )
+from repro.rtl.parser import check_component_name
+from repro.rtl.scanner import check_one_line
 from repro.rtl.spec import Declaration, Specification
 from repro.rtl.validate import ensure_valid
 
@@ -199,6 +202,26 @@ def _require(doc: Any, expected: type, path: str, what: str) -> Any:
     return doc
 
 
+def _one_line(doc: Any, path: str, what: str) -> str:
+    """A free-text field (the comment, the display name), by the source
+    reader's rule for the header comment: one line of text."""
+    text = _require(doc, str, path, what)
+    try:
+        return check_one_line(text, what)
+    except SpecificationError as exc:
+        raise SpecFormatError(str(exc), path=path) from exc
+
+
+def _component_name(doc: Any, path: str, what: str) -> str:
+    """A component name, by the source language's rule: a letter followed
+    by letters and digits (names become variables in generated code)."""
+    name = _require(doc, str, path, what)
+    try:
+        return check_component_name(name)
+    except InvalidNameError as exc:
+        raise SpecFormatError(str(exc), path=path) from exc
+
+
 def _optional_nonneg_int(doc: Mapping, key: str, path: str) -> int | None:
     value = doc.get(key)
     if value is None:
@@ -236,7 +259,7 @@ def _node_to_field(node: Any, path: str) -> Field:
             extra = set(node) - {"type", "name", "low", "high"}
             if extra:
                 _fail(f"unknown key(s) {sorted(extra)}", path)
-            name = _require(node.get("name"), str, f"{path}.name", "'name'")
+            name = _component_name(node.get("name"), f"{path}.name", "'name'")
             low = node.get("low")
             if low is not None:
                 _require(low, int, f"{path}.low", "'low'")
@@ -285,7 +308,7 @@ def expression_from_json(doc: Any, path: str) -> Expression:
 def _component_from_json(doc: Any, path: str) -> Component:
     _require(doc, dict, path, "component")
     kind = doc.get("type")
-    name = _require(doc.get("name"), str, f"{path}.name", "component 'name'")
+    name = _component_name(doc.get("name"), f"{path}.name", "component 'name'")
     try:
         if kind == "alu":
             extra = set(doc) - _ALU_KEYS
@@ -360,15 +383,16 @@ def _component_from_json(doc: Any, path: str) -> Component:
 
 def _declaration_from_json(doc: Any, path: str) -> Declaration:
     if isinstance(doc, str):
-        if doc.endswith("*"):
-            return Declaration(name=doc[:-1], traced=True)
-        return Declaration(name=doc, traced=False)
+        traced = doc.endswith("*")
+        name = _component_name(doc[:-1] if traced else doc, path,
+                               "declaration")
+        return Declaration(name=name, traced=traced)
     _require(doc, dict, path, "declaration")
     extra = set(doc) - {"name", "traced"}
     if extra:
         _fail(f"unknown key(s) {sorted(extra)}", path)
-    name = _require(doc.get("name"), str, f"{path}.name",
-                    "declaration 'name'")
+    name = _component_name(doc.get("name"), f"{path}.name",
+                           "declaration 'name'")
     traced = doc.get("traced", False)
     _require(traced, bool, f"{path}.traced", "'traced'")
     return Declaration(name=name, traced=traced)
@@ -399,12 +423,10 @@ def spec_from_json(doc: Any, validate: bool = True) -> Specification:
             f"version {FORMAT_VERSION}",
             "$.version",
         )
-    comment = doc.get("comment", "")
-    _require(comment, str, "$.comment", "'comment'")
+    comment = _one_line(doc.get("comment", ""), "$.comment", "'comment'")
     if not comment.startswith("#"):
         comment = f"# {comment}" if comment else "#"
-    name = doc.get("name", "<json spec>")
-    _require(name, str, "$.name", "'name'")
+    name = _one_line(doc.get("name", "<json spec>"), "$.name", "'name'")
     cycles = _optional_nonneg_int(doc, "cycles", "$")
 
     components_doc = doc.get("components")

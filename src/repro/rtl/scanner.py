@@ -2,7 +2,8 @@
 
 The scanner performs the purely lexical part of reading a specification:
 
-* the first line must be a ``#`` comment (it is captured, not tokenised);
+* the first line must be a ``#`` comment (it is captured, not tokenised),
+  one line of text without control characters;
 * ``{ ... }`` comments are treated as whitespace anywhere (not nested);
 * remaining text is split into whitespace-delimited tokens;
 * a trailing ``.`` attached to a longer token is split off into its own
@@ -16,9 +17,24 @@ definitions themselves are never expanded.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 
 from repro.errors import MissingCommentError, SpecificationError
+
+
+def check_one_line(text: str, what: str, line: int | None = None) -> str:
+    """Validate free text (a header comment, a display name): one line
+    with no control character but tab.  Generated simulators carry it
+    as a ``#`` comment, which a line break would end."""
+    for ch in text:
+        if ch != "\t" and unicodedata.category(ch) in ("Cc", "Zl", "Zp"):
+            raise SpecificationError(
+                f"{what} must be one line without control characters, "
+                f"found {ch!r}",
+                line,
+            )
+    return text
 
 
 @dataclass(frozen=True)
@@ -128,6 +144,7 @@ def tokenize(source: str) -> TokenStream:
         raise MissingCommentError(
             "the first line of a specification must be a '#' comment", 1
         )
+    check_one_line(header, "the header comment", 1)
     cleaned = strip_comments(rest, rest_start_line)
     tokens: list[Token] = []
     for offset, line_text in enumerate(cleaned.split("\n")):

@@ -25,10 +25,10 @@ from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 from repro.core.backend import ValueOverride
 from repro.core.iosystem import IOSystem, QueueIO
 from repro.core.results import SimulationResult
+from repro.core.simulator import DEFAULT_BACKEND, BackendLike
 from repro.core.trace import TraceOptions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.core.simulator import BackendLike
     from repro.rtl.spec import Specification
 
 
@@ -104,7 +104,7 @@ class BatchRequest:
 
     spec: "Specification"
     runs: Sequence[RunRequest]
-    backend: "BackendLike" = "threaded"
+    backend: "BackendLike" = DEFAULT_BACKEND
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -116,7 +116,7 @@ class BatchRequest:
         count: int,
         cycles: int | None = None,
         inputs: Sequence[int | str] = (),
-        backend: "BackendLike" = "threaded",
+        backend: "BackendLike" = DEFAULT_BACKEND,
         collect_stats: bool = True,
     ) -> "BatchRequest":
         """*count* identical runs (the load-test / throughput shape)."""
@@ -133,7 +133,7 @@ class BatchRequest:
         spec: "Specification",
         input_sets: Iterable[Sequence[int | str]],
         cycles: int | None = None,
-        backend: "BackendLike" = "threaded",
+        backend: "BackendLike" = DEFAULT_BACKEND,
     ) -> "BatchRequest":
         """One run per input sequence (the parameter-sweep shape)."""
         runs = [

@@ -41,7 +41,7 @@ from repro.compiler.cache import spec_fingerprint
 from repro.compiler.optimizer import CodegenOptions
 from repro.core.backend import PreparedSimulation
 from repro.core.results import SimulationResult
-from repro.core.simulator import BackendLike, make_backend
+from repro.core.simulator import DEFAULT_BACKEND, BackendLike, make_backend
 from repro.errors import ServingError
 from repro.serving.batch import BatchItem, BatchRequest, BatchResult, RunRequest
 from repro.serving.executor import (
@@ -131,7 +131,7 @@ class SimulationPool:
     def __init__(
         self,
         spec,
-        backend: BackendLike = "threaded",
+        backend: BackendLike = DEFAULT_BACKEND,
         max_workers: int | None = None,
         codegen_options: CodegenOptions | None = None,
         executor: str = "serial",

@@ -43,6 +43,7 @@ import time
 import urllib.parse
 from typing import Mapping, Sequence
 
+from repro.core.simulator import DEFAULT_BACKEND
 from repro.serving.edge import HttpEdge, Request, package_version
 from repro.serving.fleet import FleetSupervisor
 from repro.serving.protocol import (
@@ -118,7 +119,7 @@ class FleetRouter(HttpEdge):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        default_backend: str = "threaded",
+        default_backend: str = DEFAULT_BACKEND,
         default_executor: str = "serial",
         quorum: int | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
@@ -428,7 +429,7 @@ class ServingFleet:
         port: int = 0,
         *,
         child_args: Sequence[str] = (),
-        backend: str = "threaded",
+        backend: str = DEFAULT_BACKEND,
         executor: str = "serial",
         quorum: int | None = None,
         drain_timeout: float = 10.0,

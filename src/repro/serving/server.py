@@ -68,7 +68,7 @@ from email.message import Message
 from pathlib import Path
 from typing import Callable
 
-from repro.core.simulator import BACKEND_NAMES, make_backend
+from repro.core.simulator import BACKEND_NAMES, DEFAULT_BACKEND, make_backend
 from repro.errors import ServingError
 from repro.machines.library import all_machines
 from repro.serving.batch import BatchResult
@@ -471,7 +471,7 @@ class SimulationServer(HttpEdge):
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        backend: str = "threaded",
+        backend: str = DEFAULT_BACKEND,
         executor: str = "serial",
         max_workers: int | None = None,
         chunk_size: int | None = None,

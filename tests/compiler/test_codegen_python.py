@@ -36,6 +36,49 @@ class TestGeneratedStructure:
         assert "m_memory[3] = 78" in source
 
 
+class TestSpecTextStaysInert:
+    """Spec strings reach the module as comments and variable names; no
+    line break in the former, nor an odd character in the latter, may
+    turn them into code."""
+
+    def test_every_line_of_a_comment_is_commented(self):
+        from repro.compiler.emitter import CodeWriter
+
+        writer = CodeWriter().comment("a\rb\nc\r\nd").comment("")
+        assert writer.render().splitlines() == ["# a", "# b", "# c", "# d", "# "]
+
+    def test_a_line_break_in_the_header_comment_is_not_code(
+            self, counter_spec):
+        # the spec readers refuse such a header; a spec built in Python
+        # reaches the generator unchecked
+        from dataclasses import replace
+
+        from repro.core.comparison import compare_results
+        from repro.core.simulator import Simulator
+
+        spec = replace(counter_spec, header_comment=(
+            counter_spec.header_comment + "\rraise RuntimeError('injected')"))
+        source = generate_python(spec)
+        assert "\n# raise RuntimeError('injected')\n" in source
+        result = Simulator(spec, backend="compiled").run(cycles=12)
+        reference = Simulator(counter_spec, backend="interpreter").run(cycles=12)
+        assert compare_results(reference, result) == []
+
+    @pytest.mark.parametrize("name", ["r[0]", "r;r", "r\nr", "r r", "r\u00e9"])
+    def test_a_name_that_is_no_variable_is_refused(self, name):
+        from repro.errors import CompilationError
+        from repro.rtl.components import Memory
+        from repro.rtl.expressions import constant_expression
+        from repro.rtl.spec import Specification
+
+        spec = Specification(header_comment="# x", components=(Memory(
+            name=name, address=constant_expression(0),
+            data=constant_expression(1), operation=constant_expression(1),
+            size=1),))
+        with pytest.raises(CompilationError, match="cannot name a variable"):
+            PythonCodeGenerator(spec)
+
+
 class TestFigure41AluGeneration:
     """Figure 4.1: generic dologic call vs inlined constant function."""
 

@@ -33,6 +33,39 @@ class TestPrepare:
     def test_compile_spec_helper(self, counter_spec):
         assert compile_spec(counter_spec).spec is counter_spec
 
+    @pytest.mark.parametrize("shipped", [False, True])
+    def test_sections_keep_the_module_text_and_its_line_numbers(
+        self, backend, counter_spec, shipped
+    ):
+        # the module byte-compiles one section at a time: the source is
+        # still the generator's one module, and a traceback through any
+        # entry point names that module's own lines
+        import pickle
+        import traceback
+
+        from repro.compiler.codegen_python import generate_program_python
+
+        prepared = CompiledBackend(cache=False).prepare(counter_spec)
+        assert prepared.source == generate_program_python(
+            prepared.program, backend.options)
+        if shipped:
+            prepared = pickle.loads(pickle.dumps(prepared))
+        called = []
+
+        def broken(name, value, cycle):
+            called.append(name)
+            raise ValueError(name)
+
+        with pytest.raises(ValueError) as excinfo:
+            prepared.run(cycles=1, override=broken)
+        [frame] = [
+            frame for frame in traceback.extract_tb(excinfo.tb)
+            if frame.filename.startswith("<asim2 generated")
+        ]
+        assert frame.name == "simulate_instrumented"
+        line = prepared.source.splitlines()[frame.lineno - 1]
+        assert f"ov({called[0]!r}" in line, line
+
 
 class TestRun:
     def test_counter_behaviour(self, backend, counter_spec):

@@ -117,7 +117,7 @@ class TestServeBatchCommand:
                      "-c", "10"]) == 0
         out = capsys.readouterr().out
         # the default serial strategy runs inline: one worker, whatever -w
-        assert "6 runs on threaded (1 workers, serial executor)" in out
+        assert "6 runs on compiled (1 workers, serial executor)" in out
         assert "6/6 runs ok" in out
         assert "runs/sec" in out
 

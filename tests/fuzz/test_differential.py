@@ -14,7 +14,11 @@ import functools
 import pytest
 
 from repro.compiler.threaded import ThreadedBackend
-from repro.errors import SelectorRangeError
+from repro.errors import (
+    InvalidAluFunctionError,
+    SelectorRangeError,
+    SimulationError,
+)
 from repro.fuzz import (
     load_corpus,
     run_differential,
@@ -26,6 +30,7 @@ from repro.fuzz.shrink import shrink_case
 from repro.interp.interpreter import InterpreterBackend
 from repro.rtl import alu_ops
 from repro.rtl.builder import SpecBuilder
+from repro.rtl.parser import parse_spec
 from repro.rtl.validate import ensure_valid
 
 
@@ -71,6 +76,42 @@ class TestCleanDifferential:
         assert report.reference_error == "SelectorRangeError"
         with pytest.raises(SelectorRangeError):
             InterpreterBackend().run(spec, cycles=8)
+
+
+class TestErrorDifferential:
+    """A raising machine is compared by error type, cycle and message."""
+
+    #: an ALU whose function code comes from a register that reaches 14
+    BAD_FUNCT = ("# bad funct\na inc r .\nA a r 1 1\nA inc 4 r 1\n"
+                 "M r 0 inc 1 1\n.")
+
+    def test_invalid_alu_function_code_agrees_everywhere(self):
+        report = run_differential(parse_spec(self.BAD_FUNCT), cycles=20)
+        assert report.ok, report.describe()
+        assert report.reference_error == "InvalidAluFunctionError"
+
+    def test_a_misplaced_cycle_is_caught(self):
+        class LateBackend(ThreadedBackend):
+            """Sabotage: raises the right error type a cycle late."""
+
+            def run(self, spec, **kwargs):
+                try:
+                    return super().run(spec, **kwargs)
+                except SimulationError as exc:
+                    raise InvalidAluFunctionError(
+                        "ALU 'a' computed function code 14", exc.cycle + 1
+                    ) from None
+
+        report = run_differential(
+            parse_spec(self.BAD_FUNCT), cycles=20,
+            matrix=(("interpreter", False, InterpreterBackend),
+                    ("late", False, LateBackend)),
+        )
+        assert not report.ok
+        [failure] = report.failures
+        assert failure.config == "late"
+        assert "at cycle 15" in failure.describe()
+        assert "at cycle 14" in failure.describe()
 
 
 class CorruptingBackend(ThreadedBackend):

@@ -386,3 +386,56 @@ class TestRandomStackPrograms:
             cycles=machine.cycles_for(golden.instructions_executed)
         )
         assert result.output_integers() == golden.outputs
+
+
+class TestRunTimeErrorParity:
+    """A machine that breaks raises the same error everywhere: the same
+    type, cycle and message on every backend, whether the run counts
+    statistics, takes the fast path or runs in a lane group."""
+
+    #: (specification, error message) — the function code comes from a
+    #: register (first case) or from an ALU computed earlier in the same
+    #: cycle, behind a dynamic ALU whose code stays valid (second case)
+    CASES = {
+        "register": (
+            "# bad funct\na inc r .\nA a r 1 1\nA inc 4 r 1\n"
+            "M r 0 inc 1 1\n.",
+            "cycle 14: ALU 'a' computed function code 14",
+        ),
+        "same-cycle": (
+            "# bad funct\nok f bad r .\nA ok r.0.2 1 1\nA f 4 r 1\n"
+            "A bad f 1 1\nM r 0 f 1 1\n.",
+            "cycle 13: ALU 'bad' computed function code 14",
+        ),
+    }
+
+    @staticmethod
+    def _errors(prepared, path: str) -> list:
+        from repro.core.iosystem import QueueIO
+        from repro.errors import SimulationError
+
+        if path.startswith("lanes"):
+            outcomes = prepared.run_lanes(
+                cycles=20, ios=[QueueIO(()) for _ in range(3)],
+                collect_stats=path == "lanes+stats",
+            )
+            errors = [outcome.error for outcome in outcomes]
+        else:
+            with pytest.raises(SimulationError) as excinfo:
+                prepared.run(cycles=20, collect_stats=path == "stats")
+            errors = [excinfo.value]
+        return [(type(e).__name__, e.cycle, str(e)) for e in errors]
+
+    @pytest.mark.parametrize("path", ["stats", "fast", "lanes", "lanes+stats"])
+    @pytest.mark.parametrize("backend", ["interpreter", "threaded", "compiled"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_invalid_alu_function_code(self, case, backend, path):
+        from repro.core.simulator import make_backend
+        from repro.rtl.parser import parse_spec
+
+        text, message = self.CASES[case]
+        prepared = make_backend(backend).prepare(parse_spec(text))
+        errors = self._errors(prepared, path)
+        cycle = int(message.split(":")[0].split()[1])
+        assert errors == [("InvalidAluFunctionError", cycle, message)] * len(
+            errors)

@@ -257,6 +257,49 @@ class TestAbuseGuards:
             spec_from_json(doc)
 
 
+class TestCodeInjectionGuards:
+    """The comment and display name reach generated simulator code as
+    ``#`` comments and component names as variables, so none may carry
+    what would end a comment or a name there."""
+
+    @pytest.mark.parametrize("key", ["comment", "name"])
+    @pytest.mark.parametrize(
+        "text", ["x\nimport os", "x\rimport os", "x\r\n", "x\x00",
+                 "x\x85y", "x\u2028y"],
+    )
+    def test_free_text_must_be_one_line(self, key, text):
+        with pytest.raises(SpecFormatError,
+                           match="one line without control") as excinfo:
+            spec_from_json(minimal_doc(**{key: text}))
+        assert excinfo.value.path == f"$.{key}"
+
+    def test_free_text_keeps_tabs_and_unicode(self):
+        spec = spec_from_json(minimal_doc(comment="a\tb \u00e9", name="m\u00fc"))
+        assert spec.header_comment == "# a\tb \u00e9"
+        assert spec.source_name == "m\u00fc"
+
+    @pytest.mark.parametrize(
+        "name", ["r[0]", "r;r", "r r", "r\nr", "_r", "1r", "r_r", "", "r\u00e9"],
+    )
+    def test_names_follow_the_source_language_rule(self, name):
+        component = minimal_doc()
+        component["components"][0]["name"] = name
+        reference = minimal_doc()
+        reference["components"][0]["data"] = [{"type": "ref", "name": name}]
+        documents = {
+            "$.components[0].name": component,
+            "$.components[0].data[0].name": reference,
+            "$.declarations[0]": minimal_doc(declarations=[name + "*"]),
+            "$.declarations[0].name": minimal_doc(
+                declarations=[{"name": name, "traced": True}]),
+        }
+        for path, doc in documents.items():
+            with pytest.raises(SpecFormatError,
+                               match="letters and numbers only") as excinfo:
+                spec_from_json(doc)
+            assert excinfo.value.path == path
+
+
 class TestFormatDetection:
     def test_json_documents_detected(self, counter_spec):
         assert looks_like_json(spec_to_json_text(counter_spec))

@@ -27,6 +27,16 @@ class TestHeaderComment:
         with pytest.raises(MissingCommentError):
             tokenize("   \n  ")
 
+    @pytest.mark.parametrize("control", ["\r", "\x00", "\x0b", "\x85", "\u2028"])
+    def test_header_must_be_one_line(self, control):
+        # generated simulators carry the header as a comment, which a
+        # carriage return (to Python, a line end) would close
+        with pytest.raises(SpecificationError, match="line 1: the header"):
+            tokenize(f"# a{control}b\nA x 1 2 3\n")
+
+    def test_header_keeps_tabs(self):
+        assert tokenize("# a\tb\nx .\n").header_comment == "# a\tb"
+
     def test_header_only(self):
         stream = tokenize("# nothing else")
         assert stream.exhausted

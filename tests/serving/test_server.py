@@ -205,6 +205,49 @@ class TestErrors:
 class TestEdge:
     """Routing, body handling and error accounting, on node and router."""
 
+    @pytest.mark.parametrize("route", ["/v1/run", "/v1/batch"])
+    @pytest.mark.parametrize("field", ["comment", "name", "component"])
+    def test_json_spec_strings_cannot_run_code(self, app, counter_spec,
+                                               tmp_path, field, route):
+        # on the default (compiled) backend the comment and display name
+        # become comments of the generated module and component names
+        # its variables: a payload that reached that module would run in
+        # the node process.  The router refuses it at the front door
+        from repro.rtl.interchange import spec_to_json
+
+        marker = tmp_path / "injected"
+        payload = f"open({str(marker)!r}, 'w').close()"
+        doc = spec_to_json(counter_spec)
+        if field == "component":
+            doc["components"].append({
+                "type": "alu", "name": f"next[{payload}]", "function": 4,
+                "left": 0, "right": 0,
+            })
+        else:
+            doc[field] = f"x\n{payload}"
+        body = ({"spec": doc, "cycles": 4} if route == "/v1/run"
+                else {"spec": doc, "runs": [{"cycles": 4}]})
+        status, document = post(app, route, body)
+        assert not marker.exists()
+        assert status == 400
+        assert document["error"]["type"] == "invalid_spec"
+
+    @pytest.mark.parametrize("control", ["\r", "\x00"])
+    def test_spec_text_header_must_be_one_line(self, app, tmp_path,
+                                               counter_spec_text, control):
+        # a lone carriage return ends a Python comment line, though not
+        # the header line of the source language; the compiler refuses a
+        # NUL byte, which would leave the run degraded to threaded
+        marker = tmp_path / "injected"
+        first, rest = counter_spec_text.split("\n", 1)
+        text = f"{first}{control}open({str(marker)!r}, 'w').close()\n{rest}"
+        status, document = post(app, "/v1/run",
+                                {"spec": text, "cycles": 12})
+        assert not marker.exists()
+        assert status == 400
+        assert document["error"]["type"] == "invalid_specification"
+        assert "header comment" in document["error"]["message"]
+
     def test_unknown_route_is_structured_404(self, app):
         status, document = get(app, "/v1/nope")
         assert status == 404
@@ -338,6 +381,24 @@ class TestEdge:
 
 
 class TestServing:
+    def test_run_time_error_is_one_400_on_every_backend(self, server):
+        # the register reaches 14, past the last ALU function code: the
+        # default (compiled) backend names the ALU and cycle exactly as
+        # the threaded one does
+        spec = ("# bad funct\na inc r .\nA a r 1 1\nA inc 4 r 1\n"
+                "M r 0 inc 1 1\n.")
+        answers = [
+            post(server, "/v1/run", {"spec": spec, "cycles": 20, **chosen})
+            for chosen in ({}, {"backend": "threaded"})
+        ]
+        assert answers[0] == answers[1]
+        status, document = answers[0]
+        assert status == 400
+        assert document["error"] == {
+            "type": "InvalidAluFunctionError",
+            "message": "cycle 14: ALU 'a' computed function code 14",
+        }
+
     def test_single_run_over_http(self, server):
         status, document = post(server, "/v1/run", {
             "machine": "counter", "cycles": 24, "backend": "interpreter",
