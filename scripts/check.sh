@@ -13,13 +13,13 @@ python -m compileall -q src
 echo "== docs gate =="
 python scripts/check_docs.py
 
-echo "== server smoke (boot, /healthz, two kept-alive /v1/run, hostile bodies, graceful shutdown) =="
+echo "== server smoke (boot, /healthz, two kept-alive /v1/run, hostile bodies and methods, graceful shutdown) =="
 # the long-lived HTTP server must come up on an ephemeral port, answer a
 # liveness probe and serve two real simulations on the default backend
 # over one kept-alive connection, answer a body that is not UTF-8 with a
-# structured 400, keep a kept-alive connection in sync past a GET body,
-# then drain cleanly — so the serving front door cannot rot between full
-# test runs
+# structured 400, keep a kept-alive connection in sync past a GET body
+# and past a PUT (a JSON 405, not http.server's HTML 501), then drain
+# cleanly — so the serving front door cannot rot between full test runs
 python - <<'SMOKE'
 import http.client, json, sys, urllib.request
 from repro.serving import SimulationServer
@@ -61,10 +61,20 @@ with SimulationServer(port=0) as server:
     r = connection.getresponse()
     assert r.status == 200, r.status
     assert json.loads(r.read())["status"] == "ok"
+    connection.request("PUT", "/v1/run", body=b'{"machine": "counter"}')
+    r = connection.getresponse()
+    error = json.loads(r.read())
+    assert r.status == 405, (r.status, error)
+    assert r.getheader("Content-Type") == "application/json"
+    assert error["error"]["type"] == "method_not_allowed", error
+    connection.request("GET", "/healthz")
+    r = connection.getresponse()
+    assert r.status == 200, r.status
+    assert json.loads(r.read())["status"] == "ok"
     connection.close()
 print("server smoke: healthz ok, two kept-alive runs served on compiled, "
-      "non-UTF-8 body 400, GET body kept the connection in sync, shut "
-      "down cleanly")
+      "non-UTF-8 body 400, GET body and a PUT (JSON 405) kept the "
+      "connection in sync, shut down cleanly")
 SMOKE
 
 echo "== fleet smoke (boot 2 nodes, route a run, SIGKILL failover, rolling drain) =="
@@ -231,14 +241,14 @@ rm -f "$SPAWN_SMOKE"
 echo "== lane fuzz smoke (fixed seed, lane executor only) =="
 # a seeded slice of the differential fuzzer pinned to the lane alias
 # (serial with lane groups): random machines (memories, selectors,
-# specopt rewrites) through lane groups, demanding bit-identity with the
-# sequential reference
+# constant and duplicate components) through lane groups on every
+# backend, demanding bit-identity with the sequential reference
 python -m repro fuzz --seed 11 --count 8 --executors lane
 
 echo "== differential fuzz smoke (fixed seed, full backend x executor matrix) =="
 # twenty seeded random machines, each JSON-round-tripped and run through
-# every backend x specopt x executor configuration (serial, serial with
-# lanes, process) demanding bit-identical results — so neither the
+# every backend x executor configuration (serial, serial with lanes,
+# process) demanding bit-identical results — so neither the
 # interchange format nor backend equivalence on machines nobody wrote
 # can silently rot between full fuzz sessions
 python -m repro fuzz --seed 7 --count 20

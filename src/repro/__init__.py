@@ -33,7 +33,6 @@ from repro.core.results import SimulationResult
 from repro.core.simulator import BACKEND_NAMES, Simulator, simulate
 from repro.core.trace import TraceOptions
 from repro.compiler.cache import clear_prepare_cache, prepare_cache_stats
-from repro.compiler.specopt import SpecOptPasses, SpecOptReport, optimize_spec
 from repro.compiler.threaded import ThreadedBackend
 from repro.rtl.builder import SpecBuilder
 from repro.rtl.parser import parse_spec, parse_spec_file
@@ -71,9 +70,6 @@ __all__ = [
     "ThreadedBackend",
     "TraceOptions",
     "SpecBuilder",
-    "SpecOptPasses",
-    "SpecOptReport",
-    "optimize_spec",
     "parse_spec",
     "parse_spec_file",
     "prepare_cache_stats",

@@ -16,9 +16,9 @@ simulator:
 
 Fault-injection ``override`` hooks run on every backend: the shared
 instrumentation layer (:mod:`repro.core.instrument`) implements the hook
-once, and when spec-level optimization changed the specification the run
-executes the lowered program's full pre-specopt schedule so the hook sees
-every original component.  Query ``supports_override`` on a backend or
+once, and every backend runs the specification's one schedule, so the
+hook sees every component and the same fault gives the same result and
+statistics everywhere.  Query ``supports_override`` on a backend or
 prepared simulation to check a third-party backend programmatically.
 """
 

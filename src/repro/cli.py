@@ -27,7 +27,7 @@ executable code".  This module provides the modern equivalent as
   form and auto-detect which they were given;
 * ``fuzz``     — differential fuzzing (:mod:`repro.fuzz`): generate seeded
   random machines, round-trip each through the JSON format, run every
-  backend × specopt × executor configuration and demand bit-identical
+  backend × executor configuration and demand bit-identical
   results; mismatches are shrunk to minimal reproducers and optionally
   persisted into a crasher corpus (``--corpus-dir``).
 """
@@ -262,11 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "that misses it is reported, not waited out (default: 10)",
     )
     server_parser.add_argument(
-        "--no-fallback", action="store_true",
-        help="disable the backend degradation chain (compiled -> threaded "
-        "-> interpreter on prepare failure); fail the request instead",
-    )
-    server_parser.add_argument(
         "--max-pools", type=int, default=64, metavar="N",
         help="warm pools kept per server; past the cap the least-recently-"
         "used pool is drained and evicted (0 = unbounded; default: 64)",
@@ -420,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_parser = subparsers.add_parser(
         "fuzz",
         help="differential fuzzing: random machines through every "
-        "backend x specopt x executor, demanding bit-identity",
+        "backend x executor, demanding bit-identity",
     )
     fuzz_parser.add_argument(
         "--seed", type=int, default=0,
@@ -605,7 +600,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             else MAX_BODY_BYTES
         ),
         drain_timeout=args.drain_timeout,
-        fallback=not args.no_fallback,
         max_pools=args.max_pools if args.max_pools > 0 else None,
         trace_sink=args.trace_sink,
         trace_dir=args.trace_dir,

@@ -2,8 +2,8 @@
 
 Three layers live here: the paper's code generators (Python and Pascal),
 the threaded-code backend (closures over pre-bound locals — the middle
-point between interpreting and compiling), and the performance plumbing
-shared by all backends (spec-level optimization passes, prepare cache).
+point between interpreting and compiling), and the prepare cache shared
+by the backends.
 """
 
 from repro.compiler.cache import (
@@ -26,12 +26,6 @@ from repro.compiler.optimizer import (
     OptimizationReport,
     analyze_specification,
 )
-from repro.compiler.specopt import (
-    SpecOptPasses,
-    SpecOptReport,
-    optimize_spec,
-    restore_observables,
-)
 from repro.compiler.threaded import ThreadedBackend, ThreadedSimulation, thread_spec
 
 __all__ = [
@@ -49,10 +43,6 @@ __all__ = [
     "CodegenOptions",
     "OptimizationReport",
     "analyze_specification",
-    "SpecOptPasses",
-    "SpecOptReport",
-    "optimize_spec",
-    "restore_observables",
     "CacheStats",
     "GLOBAL_PREPARE_CACHE",
     "PrepareCache",

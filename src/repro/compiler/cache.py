@@ -6,11 +6,11 @@ a serving setting — the same machine specification simulated over and over
 for millions of requests — that preparation cost should be paid **once**.
 This module keys the shared lowered program — the backend-neutral
 :class:`~repro.lowering.program.CycleProgram` IR, never a backend-private
-artifact — on a stable content hash of the specification plus the exact
-spec-level pass configuration, so a repeated ``prepare()`` of the same
-(spec, passes) pair skips lowering entirely.  Backend-private derivations
-(closure plans, generated modules) are memoized *on* the cached program
-(``CycleProgram.artifact``), so they are shared too.
+artifact — on a stable content hash of the specification, so a repeated
+``prepare()`` of the same specification skips lowering entirely.
+Backend-private derivations (closure plans, generated modules) are
+memoized *on* the cached program (``CycleProgram.artifact``), so they are
+shared too.
 
 :class:`PrepareCache` is an in-process bounded LRU, safe to share between
 threads.  Process-pool workers do not consult it: each receives the
@@ -66,7 +66,7 @@ class CacheStats:
 
 
 class PrepareCache:
-    """Bounded LRU mapping (backend, fingerprint, options) -> artifact."""
+    """Bounded LRU mapping (kind, specification fingerprint) -> artifact."""
 
     def __init__(self, max_entries: int = 256) -> None:
         if max_entries <= 0:
@@ -79,9 +79,9 @@ class PrepareCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key_for(self, backend: str, spec: Specification, *options) -> tuple:
-        """Build a cache key; *options* must be hashable (frozen dataclasses)."""
-        return (backend, spec_fingerprint(spec)) + options
+    def key_for(self, kind: str, spec: Specification) -> tuple:
+        """Build the cache key of *spec*'s artifact of *kind*."""
+        return (kind, spec_fingerprint(spec))
 
     def get_or_create(
         self, key: tuple, factory: Callable[[], object]

@@ -10,10 +10,9 @@ generated program is a Python module exposing the fast-path function::
 plus — when generated from a lowered program via
 :func:`generate_program_python` — ``simulate_instrumented(cycles, io,
 inst)`` (the same statements plus inline statistics counters, trace flags
-and ``override`` sites, see :mod:`repro.core.instrument`) and, when
-spec-level optimization changed the specification, ``simulate_full`` (the
-same over the original schedule, for ``override`` runs).  The fast path
-has the same structure as the paper's generated main program:
+and ``override`` sites, see :mod:`repro.core.instrument`) and the lane
+fast path ``simulate_lanes``.  The fast path has the same structure as
+the paper's generated main program:
 
 * local variables ``v_<name>`` for every ALU/selector (the paper's
   ``ljb<name>``),
@@ -133,22 +132,18 @@ class PythonCodeGenerator:
         writer.blank()
         writer.line(f"COMPONENT_COUNT = {len(self.spec.components)}")
 
-    def _emit_constant_tables(self, writer: CodeWriter, skip=frozenset()) -> set:
-        """Module-level tuples for selectors whose cases are all constant
-        (but those named in *skip*); returns the names emitted."""
-        emitted: set[str] = set()
+    def _emit_constant_tables(self, writer: CodeWriter) -> None:
+        """Module-level tuples for selectors whose cases are all constant."""
         if not self.options.fold_constant_selectors:
-            return emitted
+            return
         for selector in self.spec.selectors():
             cases = selector_constant_cases(selector)
-            if cases is None or selector.name in skip:
+            if cases is None:
                 continue
             values = ", ".join(str(v) for v in cases)
             if len(cases) == 1:
                 values += ","
             writer.line(f"_SEL_{selector.name} = ({values})")
-            emitted.add(selector.name)
-        return emitted
 
     def _emit_initialisation(self, writer: CodeWriter) -> None:
         writer.comment("component values (paper: ljb<name> / temp<name>)")
@@ -550,8 +545,7 @@ class PythonCodeGenerator:
 
     def _emit_instrumented_cycle_trace(self, writer: CodeWriter) -> None:
         """Hand every component value to the instrumentation layer, which
-        resolves the run-time traced names (including names the optimizer
-        removed) against it."""
+        picks the run-time traced names out of it."""
         entries = ", ".join(
             f"{component.name!r}: {self.resolve(component.name)}"
             for component in self.spec.components
@@ -623,25 +617,17 @@ def generate_program_python(
     The module contains the fast-path ``simulate`` plus
     ``simulate_instrumented`` (the fast path's statements with inline
     statistics counters, see
-    :meth:`PythonCodeGenerator.emit_instrumented_function`),
+    :meth:`PythonCodeGenerator.emit_instrumented_function`) and
     ``simulate_lanes`` (the lane fast path: N uninstrumented run variants
     per walk of the cycle loop, see
-    :meth:`PythonCodeGenerator.emit_lanes_function`) and — when spec-level
-    optimization changed the specification — ``simulate_full`` (the same
-    instrumented kernel over the *original* schedule, used for
-    ``override`` runs that must see every pre-specopt component).
+    :meth:`PythonCodeGenerator.emit_lanes_function`).
     """
     import dataclasses
 
-    fast = PythonCodeGenerator(program.opt_spec, options)
+    fast = PythonCodeGenerator(program.spec, options)
     writer = CodeWriter()
     fast._emit_prologue(writer)
-    emitted = fast._emit_constant_tables(writer)
-    if program.changed:
-        # simulate_full reads the tables of selectors specopt removed too;
-        # a selector it kept keeps its constant cases
-        full = PythonCodeGenerator(program.spec, options)
-        full._emit_constant_tables(writer, skip=emitted)
+    fast._emit_constant_tables(writer)
     writer.blank()
     fast.emit_simulate(writer)
     writer.blank()
@@ -653,9 +639,6 @@ def generate_program_python(
     lane_options = dataclasses.replace(
         fast.options, emit_cycle_trace=False, emit_access_trace=False
     )
-    lanes = PythonCodeGenerator(program.opt_spec, lane_options)
+    lanes = PythonCodeGenerator(program.spec, lane_options)
     lanes.emit_lanes_function(writer, "simulate_lanes")
-    if program.changed:
-        writer.blank()
-        full.emit_instrumented_function(writer, "simulate_full")
     return writer.render()

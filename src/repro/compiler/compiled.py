@@ -19,10 +19,6 @@ statement emitters (the paper's Section 4.4 specialisations included):
   it records exactly what the other backends' hooks record, at ~1.4x the
   fast path's time on the Figure 5.1 sieve (a hook per component per
   cycle cost ~17x);
-* ``simulate_full`` — the same kernel over the *original* (pre-specopt)
-  schedule, generated only when spec-level optimization changed the
-  specification; ``override`` runs execute it so the hook sees every
-  original component;
 * ``simulate_lanes`` — the lane fast path (N uninstrumented runs per walk
   of the schedule).
 
@@ -38,16 +34,11 @@ largest section, which keeps a warm server's resident memory down.
 ``source`` stays the one module text, and tracebacks carry its line
 numbers.
 
-Two optional performance layers wrap the paper's pipeline:
-
-* the prepare cache (:mod:`repro.compiler.cache`, on by default) stores the
-  lowered program; the generated source and byte-compiled code object are
-  memoized on that program, so a repeated ``prepare`` of the same machine
-  skips lowering and both generation phases — ``generate_seconds`` and
-  ``compile_seconds`` then report 0.0 and ``cache_hit`` is set;
-* spec-level optimization (:mod:`repro.compiler.specopt`, opt-in via
-  ``specopt=True``) shrinks the specification inside the lowering pipeline
-  before code generation.
+The prepare cache (:mod:`repro.compiler.cache`, on by default) stores the
+lowered program; the generated source and byte-compiled code object are
+memoized on that program, so a repeated ``prepare`` of the same machine
+skips lowering and both generation phases — ``generate_seconds`` and
+``compile_seconds`` then report 0.0 and ``cache_hit`` is set.
 
 A :class:`CompiledSimulation` pickles: it keeps its generated ``source``,
 and unpickling byte-compiles that source and loads the entry points with
@@ -66,7 +57,6 @@ from typing import Iterable
 from repro.compiler.cache import PrepareCache, resolve_cache
 from repro.compiler.codegen_python import generate_program_python
 from repro.compiler.optimizer import CodegenOptions
-from repro.compiler.specopt import SpecOptPasses, SpecOptReport, resolve_passes
 from repro.core.backend import (
     Backend,
     PreparedSimulation,
@@ -111,8 +101,6 @@ class CompiledSimulation(PreparedSimulation):
         #: seconds spent byte-compiling it (paper: "Pascal Compile");
         #: 0.0 when the prepare cache supplied the artifact
         self.compile_seconds = compile_seconds
-        #: what the spec-level pipeline did, or ``None`` if it was disabled
-        self.optimization: SpecOptReport | None = program.optimization
         #: whether program + generated module came out of the prepare cache
         self.cache_hit = cache_hit
         self._load(code)
@@ -126,7 +114,6 @@ class CompiledSimulation(PreparedSimulation):
                 exec(section, namespace)  # noqa: S102 - our own generated code
             self._simulate = namespace["simulate"]
             self._simulate_instrumented = namespace["simulate_instrumented"]
-            self._simulate_full = namespace.get("simulate_full")
             self._simulate_lanes = namespace["simulate_lanes"]
         except Exception as exc:  # pragma: no cover - generator bug guard
             raise CompilationError(
@@ -138,7 +125,7 @@ class CompiledSimulation(PreparedSimulation):
         # the entry points are functions of an exec'd module: they do not
         # pickle, and the source rebuilds them on the other side
         state = dict(self.__dict__)
-        for name in ("_simulate", "_simulate_instrumented", "_simulate_full",
+        for name in ("_simulate", "_simulate_instrumented",
                      "_simulate_lanes"):
             del state[name]
         return state
@@ -176,19 +163,15 @@ class CompiledSimulation(PreparedSimulation):
         else:
             # instrumented paths run user hooks (override), whose exceptions
             # must propagate unwrapped, exactly as on the other backends
-            kernel = (self._simulate_full if plan.uses_full
-                      else self._simulate_instrumented)
-            raw = kernel(plan.cycle_count, plan.io_system, plan.inst)
+            raw = self._simulate_instrumented(plan.cycle_count,
+                                              plan.io_system, plan.inst)
         run_seconds = time.perf_counter() - start
 
         plan.finish()
-        final_values = dict(raw["values"])
-        if not plan.uses_full:
-            self.program.restore_final_values(final_values, plan.cycle_count)
         return SimulationResult(
             backend=self.backend_name,
             cycles_run=plan.cycle_count,
-            final_values=final_values,
+            final_values=raw["values"],
             memory_contents={
                 name: list(cells) for name, cells in raw["memories"].items()
             },
@@ -231,10 +214,6 @@ class CompiledSimulation(PreparedSimulation):
         run_seconds = (time.perf_counter() - start) / len(ios)
 
         values, memories, errors = raw["values"], raw["memories"], raw["errors"]
-        restore = (
-            self.program.restore_final_values
-            if self.program.restore_items else None
-        )
         # the lane fast path collects neither traces nor statistics, so
         # every result in the group shares one disabled trace log and one
         # empty statistics object — placeholders, not per-run accumulators
@@ -248,14 +227,11 @@ class CompiledSimulation(PreparedSimulation):
                 continue
             # the generated module builds fresh per-lane dicts and owns
             # its per-lane cell lists, so both are adopted without copies
-            final_values = values[lane]
-            if restore is not None:
-                restore(final_values, cycle_count)
             outcomes.append(LaneOutcome(
                 result=SimulationResult(
                     backend=self.backend_name,
                     cycles_run=cycle_count,
-                    final_values=final_values,
+                    final_values=values[lane],
                     memory_contents=memories[lane],
                     outputs=list(io.outputs),
                     trace=shared_trace,
@@ -318,15 +294,13 @@ class CompiledBackend(Backend):
     def __init__(
         self,
         options: CodegenOptions | None = None,
-        specopt: bool | SpecOptPasses = False,
         cache: PrepareCache | bool | None = True,
     ) -> None:
         self.options = options or CodegenOptions()
-        self.passes = resolve_passes(specopt)
         self.cache = resolve_cache(cache)
 
     def prepare(self, spec: Specification) -> CompiledSimulation:
-        program, program_hit = lower_cached(spec, self.passes, self.cache)
+        program, program_hit = lower_cached(spec, self.cache)
         artifact, artifact_hit = program.artifact(
             ("compiled", self.options),
             lambda: _generate_and_compile(program, self.options),

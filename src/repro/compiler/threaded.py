@@ -11,20 +11,11 @@ interpreting.
 
 Per-cycle ``override`` hooks, full statistics and tracing all work exactly
 as they do on the interpreter, implemented by the shared instrumentation
-layer (:mod:`repro.core.instrument`).  When spec-level optimization changed
-the specification, an override run binds the lowered program's *full*
-(pre-specopt) step list — carried by the same shared
-:class:`~repro.lowering.program.CycleProgram`, so nothing is re-derived
-from the specification — and run-time trace requests for optimized-away
-names resolve through the program's observables map.
+layer (:mod:`repro.core.instrument`) over the same step list.
 
-The backend composes with the other performance layers of this package:
-
-* spec-level optimization (:mod:`repro.compiler.specopt`) shrinks the op
-  list inside the lowering pipeline (on by default, observably lossless);
-* the prepare cache (:mod:`repro.compiler.cache`) stores the lowered
-  program keyed on the specification fingerprint; the closure plans are
-  memoized on the program, so repeated ``prepare`` calls are free.
+The prepare cache (:mod:`repro.compiler.cache`) stores the lowered program
+keyed on the specification fingerprint; the closure plans are memoized on
+the program, so repeated ``prepare`` calls are free.
 """
 
 from __future__ import annotations
@@ -33,13 +24,13 @@ import time
 from typing import Iterable
 
 from repro.compiler.cache import PrepareCache, resolve_cache
-from repro.compiler.specopt import SpecOptPasses, SpecOptReport, resolve_passes
 from repro.core.backend import Backend, PreparedSimulation, ValueOverride
 from repro.core.instrument import plan_run
 from repro.core.iosystem import IOSystem
 from repro.core.results import SimulationResult
 from repro.core.stats import SimulationStats
 from repro.core.trace import TraceOptions
+from repro.errors import BackendError
 from repro.interp.closures import RunContext, ThreadedProgram
 from repro.lowering.program import CycleProgram, lower_cached
 from repro.rtl.spec import Specification
@@ -59,15 +50,13 @@ class ThreadedSimulation(PreparedSimulation):
                          prepare_seconds=prepare_seconds)
         #: the shared lowered program (cache-backed, backend-neutral)
         self.program = program
-        #: what the spec-level pipeline did, or ``None`` if it was disabled
-        self.optimization: SpecOptReport | None = program.optimization
         #: whether program and closure plans came out of the prepare cache
         self.cache_hit = cache_hit
 
-    def _plans(self, full: bool) -> ThreadedProgram:
-        """The closure plans for one program variant (memoized on the IR)."""
+    def _plans(self) -> ThreadedProgram:
+        """The closure plans (memoized on the IR)."""
         plans, _ = self.program.artifact(
-            ("threaded", full), lambda: ThreadedProgram(self.program, full)
+            ("threaded",), lambda: ThreadedProgram(self.program)
         )
         return plans
 
@@ -83,7 +72,7 @@ class ThreadedSimulation(PreparedSimulation):
     ) -> SimulationResult:
         plan = plan_run(self.program, cycles, io, trace, collect_stats,
                         override)
-        plans = self._plans(plan.uses_full)
+        plans = self._plans()
         ctx = RunContext(
             values=self.program.initial_values(),
             memory_arrays=self.program.initial_memory_arrays(),
@@ -102,13 +91,10 @@ class ThreadedSimulation(PreparedSimulation):
         run_seconds = time.perf_counter() - start
 
         plan.finish()
-        final_values = plans.visible_values(ctx.values)
-        if not plan.uses_full:
-            self.program.restore_final_values(final_values, plan.cycle_count)
         return SimulationResult(
             backend=self.backend_name,
             cycles_run=plan.cycle_count,
-            final_values=final_values,
+            final_values=self.program.visible_values(ctx.values),
             memory_contents={
                 name: list(cells) for name, cells in ctx.memory_arrays.items()
             },
@@ -127,17 +113,23 @@ class ThreadedBackend(Backend):
 
     def __init__(
         self,
-        specopt: bool | SpecOptPasses = True,
+        specopt: bool = False,
         cache: PrepareCache | bool | None = True,
     ) -> None:
-        self.passes = resolve_passes(specopt)
+        if specopt:
+            # the keyword stays so callers that spell out its absence
+            # (specopt=False) keep working; there is nothing to turn on
+            raise BackendError(
+                "spec-level optimization was removed: every backend runs "
+                "one program per specification (specopt must be false)"
+            )
         self.cache = resolve_cache(cache)
 
     def prepare(self, spec: Specification) -> ThreadedSimulation:
         start = time.perf_counter()
-        program, program_hit = lower_cached(spec, self.passes, self.cache)
+        program, program_hit = lower_cached(spec, self.cache)
         _plans, plans_hit = program.artifact(
-            ("threaded", False), lambda: ThreadedProgram(program, False)
+            ("threaded",), lambda: ThreadedProgram(program)
         )
         return ThreadedSimulation(
             spec=spec,
@@ -147,9 +139,6 @@ class ThreadedBackend(Backend):
         )
 
 
-def thread_spec(
-    spec: Specification,
-    specopt: bool | SpecOptPasses = True,
-) -> ThreadedSimulation:
+def thread_spec(spec: Specification) -> ThreadedSimulation:
     """Convenience: compile *spec* into a ready-to-run threaded simulation."""
-    return ThreadedBackend(specopt).prepare(spec)
+    return ThreadedBackend().prepare(spec)

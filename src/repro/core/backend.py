@@ -73,9 +73,7 @@ class PreparedSimulation(ABC):
     honors the same instrumentation layer (:mod:`repro.core.instrument`):
 
     * ``override`` — per-cycle value override (fault injection), supported
-      everywhere.  When spec-level optimization changed the specification,
-      the run executes the lowered program's *full* (pre-specopt) step
-      list so the hook sees — and can fault — every original component.
+      everywhere; the hook sees — and can fault — every component.
     * ``collect_stats`` — the full breakdown (per-ALU function,
       per-selector case, per-memory operation) on every backend.  The
       interpreter and threaded backends record it through a hook call per
@@ -87,9 +85,8 @@ class PreparedSimulation(ABC):
       (that is the configuration the Figure 5.1 speedups are measured
       in).
     * ``trace`` — per-cycle value traces and memory access traces are
-      bit-identical across backends.  Tracing a name the optimizer removed
-      resolves through the program's observables map; an unknown name
-      raises ``UnknownComponentError`` everywhere.
+      bit-identical across backends; tracing an unknown name raises
+      ``UnknownComponentError`` everywhere.
 
     The ``supports_override`` / ``supports_full_stats`` class flags let
     callers query capabilities programmatically instead of catching
@@ -195,7 +192,7 @@ class Backend(ABC):
         compiled backends consult the prepare cache
         (:mod:`repro.compiler.cache`, on by default), which stores the
         shared lowered program (:mod:`repro.lowering`) keyed on a stable
-        content hash of (specification, specopt passes); backend-private
+        content hash of the specification; backend-private
         artifacts (closure plans, generated modules) are memoized on that
         program, so a repeated ``prepare`` of the same machine reuses
         everything and sets ``cache_hit``.  Preparation depends only on

@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 from repro.compiler.compiled import CompiledBackend
 from repro.compiler.optimizer import CodegenOptions
-from repro.compiler.specopt import SpecOptPasses
-from repro.compiler.threaded import ThreadedBackend
 from repro.core.backend import Backend, ValueOverride
 from repro.core.iosystem import QueueIO
 from repro.core.results import SimulationResult
@@ -68,9 +66,9 @@ def compare_results(
     ``compare_stats`` asserts the instrumentation-layer parity: identical
     cycle/evaluation counts and identical per-ALU/selector/memory
     breakdowns, compared exactly (a zero-count key differs from an absent
-    one; see :meth:`SimulationStats.breakdown`) — only meaningful when
-    both runs executed the same effective program, e.g. the same specopt
-    configuration or an ``override`` run.
+    one; see :meth:`SimulationStats.breakdown`).  Every backend runs one
+    program per specification, so statistics agree across backends for
+    the same specification, inputs and ``override``.
     """
     return _compare_results(reference, candidate, compare_trace,
                             compare_stats)
@@ -181,30 +179,23 @@ def compare_all_backends(
     cycles: int | None = None,
     inputs: Sequence[int | str] = (),
     trace: bool = True,
-    specopt: bool | SpecOptPasses = False,
     override: ValueOverride | None = None,
     compare_stats: bool = False,
 ) -> dict[str, ComparisonResult]:
     """Run *spec* on every registered backend against the interpreter.
 
     The ASIM-style interpreter is the reference; every other registered
-    backend is compared to it with identical inputs.  ``specopt`` applies
-    the spec-level optimization pipeline to each candidate, so the
-    pipeline's observable-equivalence claim is checked in the same sweep.
+    backend, at its defaults, is compared to it with identical inputs.
     ``override`` injects the same fault hook everywhere and
     ``compare_stats`` additionally requires identical statistics — the
     instrumentation-layer parity check.
     """
-    from repro.core.simulator import BACKEND_NAMES
+    from repro.core.simulator import BACKEND_NAMES, make_backend
 
-    builders = {
-        "threaded": lambda: ThreadedBackend(specopt=specopt),
-        "compiled": lambda: CompiledBackend(specopt=specopt),
-    }
     # derive the candidate list from the registry so a newly registered
     # backend cannot silently fall out of the equivalence sweep
     candidates: dict[str, Backend] = {
-        name: builders[name]()
+        name: make_backend(name)
         for name in BACKEND_NAMES
         if name != "interpreter"
     }
@@ -235,13 +226,12 @@ def assert_all_backends_equivalent(
     spec: Specification,
     cycles: int | None = None,
     inputs: Iterable[int | str] = (),
-    specopt: bool | SpecOptPasses = False,
     override: ValueOverride | None = None,
     compare_stats: bool = False,
 ) -> dict[str, ComparisonResult]:
     """Raise ``AssertionError`` unless every backend agrees on *spec*."""
     results = compare_all_backends(
-        spec, cycles=cycles, inputs=tuple(inputs), specopt=specopt,
+        spec, cycles=cycles, inputs=tuple(inputs),
         override=override, compare_stats=compare_stats,
     )
     problems = [

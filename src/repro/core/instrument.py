@@ -25,10 +25,8 @@ the three produce bit-identical traces and identical statistics for the
 same effective program — the parity the equivalence matrix asserts.
 
 :func:`plan_run` is the shared front half of every backend's ``run``: it
-normalises the run arguments, decides whether the run needs the *full*
-(pre-specopt) program variant (an ``override`` hook must see every original
-component), resolves run-time traced names through the lowered program's
-observables map, and builds the :class:`Instrumentation` — or ``None`` for
+normalises the run arguments, checks run-time traced names against the
+lowered program, and builds the :class:`Instrumentation` — or ``None`` for
 the fast path, so an uninstrumented run pays for none of this.
 """
 
@@ -91,11 +89,6 @@ def run_deadline(deadline: float | None):
     finally:
         _AMBIENT_DEADLINE.value = previous
 
-#: A resolved trace entry: (reported name, "value" | "const", payload).
-#: "value" payload is the live component name to read; "const" payload is
-#: the statically-known per-cycle value of an eliminated component.
-TraceEntry = tuple
-
 
 class Instrumentation:
     """Per-run bundle of stats + trace + override hooks (one per run)."""
@@ -118,7 +111,7 @@ class Instrumentation:
         trace_log: TraceLog | None = None,
         trace_accesses: bool = False,
         trace_limit: int | None = None,
-        traced: tuple[TraceEntry, ...] = (),
+        traced: tuple[str, ...] = (),
         deadline: float | None = None,
     ) -> None:
         self.stats = stats
@@ -220,17 +213,14 @@ class Instrumentation:
     def record_cycle_values(
         self, cycle: int, values: dict[str, int]
     ) -> None:
-        """Resolve the traced names against a full value mapping and record.
+        """Pick the traced names out of a full value mapping and record.
 
-        *values* maps every live component name to its current value (the
-        compiled backend's generated code passes its whole local state);
-        eliminated constants and aliases resolve through the entries built
-        by :func:`plan_run`.
+        *values* maps every component name to its current value (the
+        compiled backend's generated code passes its whole local state).
         """
-        row: dict[str, int] = {}
-        for name, kind, payload in self.traced:
-            row[name] = values[payload] if kind == "value" else payload
-        self.trace_log.record_cycle(cycle, row)
+        self.trace_log.record_cycle(
+            cycle, {name: values[name] for name in self.traced}
+        )
 
     # -- end of run ----------------------------------------------------------
 
@@ -283,45 +273,27 @@ class RunPlan:
     stats: SimulationStats | None
     #: the shared instrumentation, or ``None`` for the uninstrumented fast path
     inst: Instrumentation | None
-    #: the program variant to execute (full when the override hook must see
-    #: every pre-specopt component)
-    variant: object
-    uses_full: bool
+    #: component evaluations per cycle of the program run (statistics basis)
+    evaluations_per_cycle: int
 
     def finish(self) -> None:
         """Record the whole-run statistics counters."""
         if self.inst is not None:
-            self.inst.finish(
-                self.cycle_count, self.variant.evaluations_per_cycle
-            )
+            self.inst.finish(self.cycle_count, self.evaluations_per_cycle)
 
 
-def resolve_traced_names(
-    program, variant, names, strict: bool
-) -> tuple[TraceEntry, ...]:
-    """Resolve run-time traced *names* through the observables map.
+def resolve_traced_names(program, names, strict: bool) -> tuple[str, ...]:
+    """The run-time traced *names* that name a component of *program*.
 
-    Names the optimizer removed resolve to their constant or surviving
-    alias; unknown names raise :class:`UnknownComponentError` exactly as a
-    state lookup would (only when *strict*, i.e. when the run would really
-    record a trace row).
+    An unknown name raises :class:`UnknownComponentError` exactly as a
+    state lookup would — only when *strict*, i.e. when the run would
+    really record a trace row; otherwise it is dropped.
     """
-    observables = program.observables
-    entries: list[TraceEntry] = []
+    known = program.slots
     for name in names:
-        resolution = observables.get(name)
-        if resolution is None:
-            if strict:
-                raise UnknownComponentError(f"component <{name}> not found")
-            continue
-        if variant is program.full:
-            # every original component is live in the full variant
-            entries.append((name, "value", name))
-        elif resolution[0] == "const":
-            entries.append((name, "const", resolution[1]))
-        else:  # "live" or "alias": read the surviving component
-            entries.append((name, "value", resolution[1]))
-    return tuple(entries)
+        if strict and name not in known:
+            raise UnknownComponentError(f"component <{name}> not found")
+    return tuple(name for name in names if name in known)
 
 
 def plan_run(
@@ -335,21 +307,19 @@ def plan_run(
     """Normalise one run's arguments against a lowered *program*.
 
     This is the shared front half of every backend's ``run``: cycle count
-    and trace-option resolution, I/O coercion, program-variant selection,
-    traced-name resolution, and instrumentation construction.
+    and trace-option resolution, I/O coercion, traced-name resolution, and
+    instrumentation construction.
     """
     spec = program.spec
     cycle_count = resolve_cycles(spec, cycles)
     options = resolve_trace(spec, trace)
     io_system = coerce_io(io)
-    uses_full = override is not None and program.changed
-    variant = program.variant(uses_full)
     trace_log = TraceLog(
         enabled=options.trace_cycles or options.trace_memory_accesses
     )
     stats = SimulationStats() if collect_stats else None
 
-    traced: tuple[TraceEntry, ...] = ()
+    traced: tuple[str, ...] = ()
     if options.trace_cycles:
         names = (
             list(options.names)
@@ -360,9 +330,8 @@ def plan_run(
             will_record = cycle_count > 0 and (
                 options.limit is None or options.limit > 0
             )
-            traced = resolve_traced_names(
-                program, variant, names, strict=will_record
-            )
+            traced = resolve_traced_names(program, names,
+                                          strict=will_record)
 
     deadline = current_run_deadline()
     inst: Instrumentation | None = None
@@ -393,6 +362,5 @@ def plan_run(
         trace_log=trace_log,
         stats=stats,
         inst=inst,
-        variant=variant,
-        uses_full=uses_full,
+        evaluations_per_cycle=program.evaluations_per_cycle,
     )

@@ -10,7 +10,7 @@ session (:func:`run_fuzz_session`) draws seeded random specifications from
    and the lowered-IR fingerprint (:func:`~repro.fuzz.differential.ir_fingerprint`)
    survive unchanged;
 2. **runs the differential matrix** (:mod:`repro.fuzz.differential`):
-   every backend × specopt on/off, sequentially and through
+   every backend × executor: each backend sequentially and through
    :class:`~repro.serving.SimulationPool` on serial, serial with lanes
    and process, asserting bit-identical results, traces and statistics;
 3. on a mismatch, **shrinks** the machine (:mod:`repro.fuzz.shrink`) to a

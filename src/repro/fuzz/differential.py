@@ -1,38 +1,31 @@
-"""Differential execution: one spec, every backend × specopt × executor.
+"""Differential execution: one spec, every backend × executor.
 
 The equivalence matrix that guards the lowering pipeline
 (``tests/integration/test_backend_equivalence.py``) asserts bit-identity
-over the seven bundled machines; this module is the same assertion as a
+over the bundled machines; this module is the same assertion as a
 *function over arbitrary specifications*, so the fuzzer can apply it to
 thousands of generated machines:
 
-* **sequential phase** — the interpreter without spec-level optimization
-  is the reference; every backend × specopt on/off runs with identical
-  inputs and full instrumentation.  Results and traces must match the
-  reference bit for bit; statistics must match within each schedule class
-  (plain configs against the reference, specopt configs against the
-  specopt'd interpreter, which executes the same optimized schedule).
-* **executor phase** — every backend × specopt configuration again, but
-  through a :class:`~repro.serving.SimulationPool` on each executor
-  configuration (by default :data:`FUZZ_EXECUTORS`: serial, serial with
-  lanes, process).  Each pooled run must be bit-identical — results,
-  traces *and statistics* — to the sequential run of the same
-  configuration.  Lane groups run untraced by design (tracing falls back
-  to the scalar path), so a configuration whose executor name resolves
-  to a lane width drops tracing from the request and skips trace
-  comparison; statistics are trace-independent, which keeps the traced
-  sequential run a valid reference.  A stats-off pair rides along to
-  exercise the compiled backend's generated ``simulate_lanes`` entry
-  point (stats-on groups route through the generic lane evaluator).
+* **sequential phase** — the interpreter is the reference; every backend
+  runs with identical inputs and full instrumentation.  Results, traces
+  and statistics must match the reference bit for bit.
+* **executor phase** — every backend again, but through a
+  :class:`~repro.serving.SimulationPool` on each executor configuration
+  (by default :data:`FUZZ_EXECUTORS`: serial, serial with lanes,
+  process).  Each pooled run must be bit-identical — results, traces
+  *and statistics* — to the sequential run of the same backend.  Lane
+  groups run untraced by design (tracing falls back to the scalar path),
+  so a configuration whose executor name resolves to a lane width drops
+  tracing from the request and skips trace comparison; statistics are
+  trace-independent, which keeps the traced sequential run a valid
+  reference.  A stats-off pair rides along to exercise the compiled
+  backend's generated ``simulate_lanes`` entry point.
 
 A failure is a :class:`DifferentialFailure` naming the configuration and
 the mismatches; :class:`DifferentialReport` aggregates them per spec.  A
 run that *raises* is also differential material: if the reference raises,
-every configuration must raise the same error type (a machine that breaks
-must break everywhere), and the same type, cycle and message as its
-schedule class — compared like statistics, plain configs against the
-reference and specopt configs against the specopt'd interpreter, since
-spec-level optimization can drop or merge the failing component.
+every configuration must raise the same error type, cycle and message (a
+machine that breaks must break identically everywhere).
 
 :func:`ir_fingerprint` hashes the pickled lowered
 :class:`~repro.lowering.program.CycleProgram`, giving the fuzzer a strict
@@ -65,7 +58,7 @@ from repro.serving.batch import RunRequest
 from repro.serving.executor import resolve_executor
 from repro.serving.pool import SimulationPool
 
-#: Reference configuration label (interpreter, no spec-level optimization).
+#: Reference configuration label.
 REFERENCE_CONFIG = "interpreter"
 
 #: Default executor configurations of the pooled phase: serial, serial
@@ -73,21 +66,13 @@ REFERENCE_CONFIG = "interpreter"
 FUZZ_EXECUTORS = ("serial", "lane", "process")
 
 
-def backend_matrix() -> list[tuple[str, bool, "type[Backend]"]]:
-    """The (label, specopt, backend factory) configurations under test."""
-    matrix: list[tuple[str, bool, type[Backend]]] = []
-    for specopt in (False, True):
-        suffix = "+specopt" if specopt else ""
-        matrix.append((f"interpreter{suffix}", specopt, InterpreterBackend))
-        matrix.append((f"threaded{suffix}", specopt, ThreadedBackend))
-        matrix.append((f"compiled{suffix}", specopt, CompiledBackend))
-    return matrix
-
-
-def _make_backend(factory: "type[Backend]", specopt: bool) -> Backend:
-    if factory is InterpreterBackend:
-        return InterpreterBackend(specopt=specopt)
-    return factory(specopt=specopt)  # type: ignore[call-arg]
+def backend_matrix() -> list[tuple[str, "type[Backend]"]]:
+    """The (label, backend factory) configurations under test."""
+    return [
+        ("interpreter", InterpreterBackend),
+        ("threaded", ThreadedBackend),
+        ("compiled", CompiledBackend),
+    ]
 
 
 def ir_fingerprint(spec: Specification) -> str:
@@ -173,9 +158,9 @@ def run_differential(
     executors: Sequence[str] = FUZZ_EXECUTORS,
     pool_workers: int = 2,
     runs_per_pool: int = 2,
-    matrix: "Sequence[tuple[str, bool, type[Backend]]] | None" = None,
+    matrix: "Sequence[tuple[str, type[Backend]]] | None" = None,
 ) -> DifferentialReport:
-    """Run *spec* through the full backend × specopt × executor matrix.
+    """Run *spec* through the full backend × executor matrix.
 
     Returns a report; never raises on a mismatch (raising is the caller's
     policy decision — the fuzz session shrinks and persists instead).
@@ -193,24 +178,16 @@ def run_differential(
 
     # -- sequential phase ---------------------------------------------------
     sequential: dict[str, SimulationResult | SimulationError] = {}
-    for label, specopt, factory in matrix:
-        sequential[label] = _sequential_run(
-            _make_backend(factory, specopt), spec, cycles, inputs
-        )
+    for label, factory in matrix:
+        sequential[label] = _sequential_run(factory(), spec, cycles, inputs)
         report.configs_run += 1
 
     reference = sequential[REFERENCE_CONFIG]
-    # a custom (sabotage) matrix may omit the specopt'd interpreter; specopt
-    # stats and errors then have no same-schedule reference and are not
-    # compared
-    specopt_reference = sequential.get("interpreter+specopt")
     if isinstance(reference, SimulationError):
         # the machine breaks on the reference: every configuration must
-        # break identically within its schedule class, and there is
-        # nothing to pool
+        # break identically, and there is nothing to pool
         report.reference_error = type(reference).__name__
-        for label, specopt, _factory in matrix:
-            outcome = sequential[label]
+        for label, outcome in sequential.items():
             if label == REFERENCE_CONFIG:
                 continue
             if type(outcome) is not type(reference):
@@ -225,26 +202,17 @@ def run_differential(
                         f"this configuration produced {got}",
                     ),
                 ))
-                continue
-            error_reference = specopt_reference if specopt else reference
-            if (
-                isinstance(error_reference, SimulationError)
-                and _error_signature(outcome)
-                != _error_signature(error_reference)
-            ):
+            elif _error_signature(outcome) != _error_signature(reference):
                 report.failures.append(DifferentialFailure(
                     config=label,
                     mismatches=(
                         f"raised {_error_signature(outcome)!r} but the "
-                        + ("specopt" if specopt else "reference")
-                        + " schedule class raised "
-                        + repr(_error_signature(error_reference)),
+                        f"reference raised {_error_signature(reference)!r}",
                     ),
                 ))
         return report
 
-    for label, specopt, _factory in matrix:
-        outcome = sequential[label]
+    for label, outcome in sequential.items():
         if label == REFERENCE_CONFIG:
             continue
         if isinstance(outcome, SimulationError):
@@ -254,20 +222,8 @@ def run_differential(
                             "reference ran cleanly",),
             ))
             continue
-        mismatches = compare_results(reference, outcome, compare_trace=True)
-        # statistics are schedule-class-wide: plain configs execute the
-        # reference schedule, specopt configs the optimized one
-        stats_reference = specopt_reference if specopt else reference
-        if (
-            stats_reference is not None
-            and not isinstance(stats_reference, SimulationError)
-            and outcome.stats != stats_reference.stats
-        ):
-            mismatches.append(
-                "statistics differ from the "
-                + ("specopt" if specopt else "reference")
-                + " schedule class"
-            )
+        mismatches = compare_results(reference, outcome, compare_trace=True,
+                                     compare_stats=True)
         if mismatches:
             report.failures.append(DifferentialFailure(
                 config=label, mismatches=tuple(mismatches)
@@ -289,7 +245,7 @@ def run_differential(
             )
         else:
             requests = [request] * runs_per_pool
-        for label, specopt, factory in matrix:
+        for label, factory in matrix:
             config = f"{label}@{executor}"
             expected = sequential[label]
             if isinstance(expected, SimulationError):  # pragma: no cover
@@ -297,7 +253,7 @@ def run_differential(
             try:
                 with SimulationPool(
                     spec,
-                    backend=_make_backend(factory, specopt),
+                    backend=factory(),
                     executor=executor,
                     max_workers=pool_workers,
                 ) as pool:

@@ -393,7 +393,7 @@ def _plan_memory(step: MemoryStep):
 
 
 class ThreadedProgram:
-    """One variant of a lowered program, ready to bind into closures.
+    """A lowered program, ready to bind into closures.
 
     Built from a :class:`~repro.lowering.program.CycleProgram` (usually via
     its ``artifact`` memo, so every prepared simulation of the same cached
@@ -401,30 +401,16 @@ class ThreadedProgram:
     every ``run`` to close the plans over that run's mutable state.
     """
 
-    def __init__(self, program: CycleProgram, full: bool = False) -> None:
+    def __init__(self, program: CycleProgram) -> None:
         self.program = program
-        self.variant = program.variant(full)
-        self.spec = self.variant.spec
         self.slots = program.slots
-        self.value_count = program.value_count
-        self.ordered = self.variant.ordered
-        self.memories = self.variant.memories
         self._combinational_binds = [
             _plan_alu(step) if isinstance(step, AluStep) else _plan_selector(step)
-            for step in self.variant.steps
+            for step in program.steps
         ]
         self._memory_binds = [
-            _plan_memory(step) for step in self.variant.memory_steps
+            _plan_memory(step) for step in program.memory_steps
         ]
-
-    # -- per-run state ------------------------------------------------------
-
-    def initial_values(self) -> list[int]:
-        """Fresh values array: zeros plus each memory's initial output."""
-        return self.program.initial_values()
-
-    def initial_memory_arrays(self) -> dict[str, list[int]]:
-        return self.program.initial_memory_arrays()
 
     def bind(self, ctx: RunContext) -> list[Op]:
         """Bind every plan to *ctx* and return the flat per-cycle op list."""
@@ -446,11 +432,8 @@ class ThreadedProgram:
         cycle_box = ctx.cycle_box
         inst = ctx.inst
         slots = self.slots
-        # resolve the shared trace entries down to slots once per run
-        entries = tuple(
-            (name, slots[payload] if kind == "value" else None, payload)
-            for name, kind, payload in inst.traced
-        )
+        # resolve the traced names down to slots once per run
+        entries = tuple((name, slots[name]) for name in inst.traced)
         record = inst.record_cycle
         wants = inst.wants_cycle_trace
 
@@ -461,16 +444,6 @@ class ThreadedProgram:
             # (an override or memory-mapped input may deposit out-of-word
             # values; the trace shows them unmasked on every backend)
             record(
-                cycle_box[0],
-                {
-                    name: (values[slot] if slot is not None else payload)
-                    for name, slot, payload in entries
-                },
+                cycle_box[0], {name: values[slot] for name, slot in entries}
             )
         return op
-
-    # -- results ------------------------------------------------------------
-
-    def visible_values(self, values: list[int]) -> dict[str, int]:
-        """Final values dict in this variant's definition order."""
-        return self.program.visible_values(values, self.variant)

@@ -13,10 +13,7 @@ specification (see :mod:`repro.compiler`) beats this by a large factor.
 
 Statistics, tracing and the per-cycle ``override`` hook route through the
 shared instrumentation layer (:mod:`repro.core.instrument`), the same hook
-implementations every other backend calls.  Spec-level optimization is
-opt-in (``InterpreterBackend(specopt=True)``); an override run then falls
-back to the program's full (pre-specopt) schedule, exactly like the other
-backends.
+implementations every other backend calls.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from repro.core.iosystem import IOSystem
 from repro.core.results import SimulationResult
 from repro.core.stats import SimulationStats
 from repro.core.trace import TraceOptions
-from repro.compiler.specopt import SpecOptPasses, resolve_passes
 from repro.interp.evaluator import (
     apply_memory_request,
     evaluate_alu,
@@ -38,7 +34,7 @@ from repro.interp.evaluator import (
     latch_memory_request,
 )
 from repro.interp.state import MachineState
-from repro.lowering.program import CycleProgram, ProgramVariant, lower
+from repro.lowering.program import CycleProgram, lower
 from repro.rtl.components import Alu
 from repro.rtl.spec import Specification
 
@@ -54,19 +50,17 @@ class InterpreterSimulation(PreparedSimulation):
     ) -> None:
         super().__init__(spec, backend_name="interpreter",
                          prepare_seconds=prepare_seconds)
-        #: the shared lowered program (schedule + observables map)
+        #: the shared lowered program (its schedule is the paper's table)
         self.program = program
-        #: what the spec-level pipeline did, or ``None`` if it was disabled
-        self.optimization = program.optimization
 
-    def _typed(self, variant: ProgramVariant):
+    def _typed(self):
         """(is_alu, component) pairs: the run loop dispatches on a boolean
         instead of isinstance() per component per cycle."""
         typed, _ = self.program.artifact(
-            ("interp-typed", variant is self.program.full),
+            ("interp-typed",),
             lambda: tuple(
                 (isinstance(component, Alu), component)
-                for component in variant.ordered
+                for component in self.program.ordered
             ),
         )
         return typed
@@ -83,15 +77,14 @@ class InterpreterSimulation(PreparedSimulation):
     ) -> SimulationResult:
         plan = plan_run(self.program, cycles, io, trace, collect_stats,
                         override)
-        variant = plan.variant
         inst = plan.inst
         io_system = plan.io_system
-        state = MachineState.initial(variant.spec)
+        state = MachineState.initial(self.program.spec)
 
         # Hoist every method/attribute lookup of the cycle loop into
         # prebound locals.
-        typed = self._typed(variant)
-        memories = variant.memories
+        typed = self._typed()
+        memories = self.program.memories
         eval_alu = evaluate_alu
         eval_selector = evaluate_selector
         latch = latch_memory_request
@@ -132,11 +125,7 @@ class InterpreterSimulation(PreparedSimulation):
             # 2. cycle trace: traced values as used during this cycle
             if trace_entries and wants_trace():
                 record_cycle(
-                    cycle,
-                    {
-                        name: (lookup(payload) if kind == "value" else payload)
-                        for name, kind, payload in trace_entries
-                    },
+                    cycle, {name: lookup(name) for name in trace_entries}
                 )
 
             # 3. latch every memory's request against the pre-update state,
@@ -157,13 +146,10 @@ class InterpreterSimulation(PreparedSimulation):
         run_seconds = time.perf_counter() - start
 
         plan.finish()
-        final_values = state.visible_values()
-        if not plan.uses_full:
-            self.program.restore_final_values(final_values, plan.cycle_count)
         return SimulationResult(
             backend=self.backend_name,
             cycles_run=plan.cycle_count,
-            final_values=final_values,
+            final_values=state.visible_values(),
             memory_contents=state.memory_snapshot(),
             outputs=list(io_system.outputs),
             trace=plan.trace_log,
@@ -178,12 +164,9 @@ class InterpreterBackend(Backend):
 
     name = "interpreter"
 
-    def __init__(self, specopt: bool | SpecOptPasses = False) -> None:
-        self.passes = resolve_passes(specopt)
-
     def prepare(self, spec: Specification) -> InterpreterSimulation:
         start = time.perf_counter()
-        program = lower(spec, self.passes)
+        program = lower(spec)
         return InterpreterSimulation(
             spec, program, prepare_seconds=time.perf_counter() - start
         )

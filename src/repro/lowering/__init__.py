@@ -1,10 +1,9 @@
 """Shared lowering pipeline: specification -> CycleProgram IR.
 
 One lowering, three consumers.  ``lower`` (and its cache-aware sibling
-``lower_cached``) turns a :class:`~repro.rtl.spec.Specification` through the
-spec-level optimization pipeline into a :class:`CycleProgram` — a flat,
-picklable, dependency-scheduled step list with precomputed masks, slot
-layouts, and an observables map back to the pre-specopt component names.
+``lower_cached``) turns a :class:`~repro.rtl.spec.Specification` into a
+:class:`CycleProgram` — a flat, picklable, dependency-scheduled step list
+with precomputed masks and slot layouts.
 The interpreter walks the program's schedule, the threaded backend binds
 its descriptors into closures, and the compiled backend generates code from
 it; the prepare cache stores the program itself rather than any
@@ -16,7 +15,6 @@ from repro.lowering.program import (
     AluStep,
     CycleProgram,
     MemoryStep,
-    ProgramVariant,
     SelectorStep,
     lower,
     lower_cached,
@@ -26,7 +24,6 @@ __all__ = [
     "AluStep",
     "CycleProgram",
     "MemoryStep",
-    "ProgramVariant",
     "SelectorStep",
     "lower",
     "lower_cached",

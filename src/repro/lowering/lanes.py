@@ -374,25 +374,22 @@ def _plan_memory(step: MemoryStep):
 
 
 class LaneProgram:
-    """The fast variant of a lowered program, planned for lane execution.
+    """A lowered program, planned for lane execution.
 
     Built once per :class:`CycleProgram` (via its ``artifact`` memo, see
     :func:`lane_program`); :meth:`bind` closes the plans over one lane
-    group's mutable state.  Only the *fast* variant is planned: lane
-    groups never carry an ``override`` (scalar fallback), so the full
-    pre-specopt schedule is never needed here.
+    group's mutable state.
     """
 
     def __init__(self, program: CycleProgram) -> None:
         self.program = program
-        self.variant = program.fast
         self._combinational_binds = [
             _plan_alu(step) if isinstance(step, AluStep)
             else _plan_selector(step)
-            for step in self.variant.steps
+            for step in program.steps
         ]
         self._memory_binds = [
-            _plan_memory(step) for step in self.variant.memory_steps
+            _plan_memory(step) for step in program.memory_steps
         ]
 
     def bind(self, ctx: LaneContext) -> "list[LaneKernel]":
@@ -493,7 +490,6 @@ def run_lanes(
         cycle += 1
     run_seconds = (time.perf_counter() - start) / lane_count
 
-    variant = program.fast
     outcomes: list[LaneOutcome] = []
     for lane in range(lane_count):
         error = errors[lane]
@@ -501,12 +497,11 @@ def run_lanes(
             outcomes.append(LaneOutcome(result=None, error=error))
             continue
         lane_values = [row[lane] for row in values]
-        final_values = program.visible_values(lane_values, variant)
-        program.restore_final_values(final_values, cycle_count)
+        final_values = program.visible_values(lane_values)
         stats = SimulationStats()
         if insts is not None:
             inst = insts[lane]
-            inst.finish(cycle_count, variant.evaluations_per_cycle)
+            inst.finish(cycle_count, program.evaluations_per_cycle)
             stats = inst.stats
         outcomes.append(LaneOutcome(
             result=SimulationResult(

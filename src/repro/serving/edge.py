@@ -14,12 +14,17 @@ they are — the router passes upstream bodies through byte-for-byte,
 since re-serialising JSON would be a place for bit-identity to quietly
 break (``Content-Type`` then comes from *headers*, JSON by default).
 
-The edge owns route lookup (including ``/v1/trace/<id>``), 404/405, the
+The edge owns route lookup (including ``/v1/trace/<id>``), 404/405 for
+every HTTP method (a method other than GET and POST is a 405 on a known
+route and a 404 elsewhere; a HEAD answer carries no body), the
 body — read under the 411/413 limits on POST routes, discarded on every
 other route so a kept-alive connection stays in sync, or ``Connection:
 close`` when it cannot be — one JSON decode, one exception-to-error-
 envelope map (with ``Retry-After``), and error counting: every answer
-with status >= 400 is an error, whichever route produced it.
+with status >= 400 is an error, whichever route produced it.  What
+``http.server`` rejects itself (a malformed request line, oversized
+headers) gets the same JSON envelope, kind ``malformed_http``, and a
+closed connection.
 
 Every answer leaves in one socket write: status line, headers and body
 together.  Written as a header block and then a body, a kept-alive
@@ -150,14 +155,12 @@ class _EdgeHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self) -> None:
         app: HttpEdge = self.server.app
-        routes, other = app.get_routes, app.post_routes
-        if self.command == "POST":
-            routes, other = other, routes
+        tables = {"GET": app.get_routes, "POST": app.post_routes}
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         route, arg = path, None
         if path.startswith(TRACE_ROUTE + "/"):
             route, arg = TRACE_ROUTE, path[len(TRACE_ROUTE) + 1:]
-        handler_name = routes.get(route)
+        handler_name = tables.get(self.command, {}).get(route)
         headers: dict[str, str] = {}
         tb: TraceBuilder | None = None
         if "Transfer-Encoding" in self.headers:
@@ -169,7 +172,9 @@ class _EdgeHandler(BaseHTTPRequestHandler):
             if handler_name is None or self.command != "POST":
                 self._discard_body(app.max_body_bytes)
             if handler_name is None:
-                if route in other:
+                allowed = [m for m, table in tables.items() if route in table]
+                if allowed:
+                    headers["Allow"] = ", ".join(allowed)
                     raise ProtocolError(
                         f"{path} does not accept {self.command}",
                         status=405, kind="method_not_allowed",
@@ -216,7 +221,25 @@ class _EdgeHandler(BaseHTTPRequestHandler):
                 tb.mark("serialize")
             app.recorder.finish(tb, status)
 
-    do_GET = do_POST = _dispatch  # noqa: N815 - http.server API
+    def __getattr__(self, name: str):
+        # http.server calls do_<METHOD>; every method, an unknown one
+        # included, goes through the one router (which answers 405/404)
+        # instead of http.server's HTML 501 page
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """http.server's own rejections (a malformed request line, an
+        oversized request line or header block): the JSON error envelope
+        instead of its HTML page.  The request could not be parsed, so
+        the connection closes."""
+        self.close_connection = True
+        self.server.app.count_error()
+        phrase = self.responses.get(code, ("error",))[0]
+        self._respond(code, error_to_json("malformed_http",
+                                          message or phrase), {})
 
     def _respond(self, status: int, payload: "dict | str | bytes",
                  headers: dict[str, str]) -> None:
@@ -239,6 +262,9 @@ class _EdgeHandler(BaseHTTPRequestHandler):
             # this connection is done rather than let the leftovers
             # corrupt its next request
             head.append("Connection: close")
+        if self.command == "HEAD":
+            # the headers describe the body a HEAD answer leaves out
+            payload = b""
         # one send: a header block written ahead of its body would be a
         # small unacknowledged segment, behind which Nagle's algorithm
         # holds the body until the client's delayed ACK (~40 ms) fires

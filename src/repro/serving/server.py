@@ -245,7 +245,6 @@ class PoolRegistry:
         max_workers: int | None = None,
         chunk_size: int | None = None,
         lane_width: int | None = None,
-        fallback: bool = True,
         max_pools: int | None = None,
     ) -> None:
         if max_pools is not None and max_pools < 1:
@@ -257,8 +256,7 @@ class PoolRegistry:
         #: server-wide default lane group size; a request's ``lane_width``
         #: field overrides it (resolved into ``ParsedBatch.lane_width``)
         self.lane_width = lane_width
-        #: walk :data:`BACKEND_FALLBACKS` when a backend's prepare fails
-        self.fallback = fallback
+        #: backend substitutions made by :data:`BACKEND_FALLBACKS`
         self.fallback_count = 0
         self.max_pools = max_pools
         self.eviction_count = 0
@@ -371,9 +369,7 @@ class PoolRegistry:
             except ProtocolError:
                 raise
             except Exception as exc:  # noqa: BLE001 - degrade, not die
-                next_backend = (
-                    BACKEND_FALLBACKS.get(backend) if self.fallback else None
-                )
+                next_backend = BACKEND_FALLBACKS.get(backend)
                 if next_backend is None:
                     raise (first_error if first_error is not None else exc)
                 if first_error is None:
@@ -447,8 +443,7 @@ class SimulationServer(HttpEdge):
     configure the :class:`AdmissionGate`; ``default_timeout`` applies a
     deadline to every run that does not choose its own;
     ``max_body_bytes`` caps request bodies; ``drain_timeout`` bounds the
-    graceful-shutdown wait; ``fallback=False`` disables the backend
-    degradation chain.
+    graceful-shutdown wait.
 
     Observability: every simulation request is traced into the recorder's
     bounded in-memory ring (``trace_ring`` entries, always on) and —
@@ -482,7 +477,6 @@ class SimulationServer(HttpEdge):
         default_timeout: float | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         drain_timeout: float = 10.0,
-        fallback: bool = True,
         max_pools: int | None = None,
         trace_sink: str | None = None,
         trace_dir: "str | Path | None" = None,
@@ -513,7 +507,6 @@ class SimulationServer(HttpEdge):
             max_workers=max_workers,
             chunk_size=chunk_size,
             lane_width=lane_width,
-            fallback=fallback,
             max_pools=max_pools,
         )
         self.trace_sink = trace_sink if trace_sink not in ("", "none") else None
@@ -601,20 +594,14 @@ class SimulationServer(HttpEdge):
         }
 
     def handle_backends(self, request: Request) -> tuple[int, dict]:
-        from repro.compiler.specopt import SpecOptPasses
-
         backends = []
         for name in BACKEND_NAMES:
             backend = make_backend(name)
-            passes = getattr(backend, "passes", None)
             backends.append({
                 "name": name,
                 "supports_override": backend.supports_override,
                 "supports_full_stats": backend.supports_full_stats,
                 "prepare_cache": getattr(backend, "cache", None) is not None,
-                "specopt_default": (
-                    passes is not None and passes != SpecOptPasses.none()
-                ),
                 # every built-in backend serves every executor strategy,
                 # lanes included: lane groups fall back to the generic lane
                 # evaluator when a backend has no generated lane entry point

@@ -124,13 +124,6 @@ class TestThreadedBackendCaching:
         assert second.cache_hit
         assert second.program is first.program
 
-    def test_specopt_config_is_part_of_the_key(self, counter_spec, private_cache):
-        ThreadedBackend(specopt=True, cache=private_cache).prepare(counter_spec)
-        other = ThreadedBackend(
-            specopt=False, cache=private_cache
-        ).prepare(counter_spec)
-        assert not other.cache_hit
-
 
 class TestConcurrentAccess:
     """The cache invariants hold when hammered from the serving pool.

@@ -118,19 +118,18 @@ class TestRun:
         reference = InterpreterBackend().run(
             counter_spec, cycles=12, override=stuck_bit
         )
-        for specopt in (False, True):
-            candidate = CompiledBackend(specopt=specopt, cache=False).run(
-                counter_spec, cycles=12, override=stuck_bit
-            )
-            assert candidate.final_values == reference.final_values
-            assert candidate.memory_contents == reference.memory_contents
-            assert candidate.output_integers() == reference.output_integers()
-            assert candidate.stats == reference.stats
+        candidate = CompiledBackend(cache=False).run(
+            counter_spec, cycles=12, override=stuck_bit
+        )
+        assert candidate.final_values == reference.final_values
+        assert candidate.memory_contents == reference.memory_contents
+        assert candidate.output_integers() == reference.output_integers()
+        assert candidate.stats == reference.stats
 
-    def test_full_kernel_has_tables_of_selectors_specopt_removed(self):
-        # specopt folds 'sel' (constant select, constant cases) away, but
-        # an override run executes simulate_full over the original
-        # schedule, whose 'sel' reads its constant-case table
+    def test_override_run_reads_the_constant_case_table(self):
+        # 'sel' (constant select, constant cases) is a module-level table
+        # in the generated code; an override run reads it like the fast
+        # path and still sees — and may fault — 'sel' every cycle
         from repro.compiler.threaded import ThreadedBackend
         from repro.core.comparison import compare_results
 
@@ -142,13 +141,15 @@ class TestRun:
         def identity(name, value, cycle):
             return value
 
-        reference = ThreadedBackend(specopt=True, cache=False).run(
+        reference = ThreadedBackend(cache=False).run(
             spec, cycles=5, override=identity)
-        candidate = CompiledBackend(specopt=True, cache=False).run(
-            spec, cycles=5, override=identity)
+        prepared = CompiledBackend(cache=False).prepare(spec)
+        candidate = prepared.run(cycles=5, override=identity)
+        assert "_SEL_sel = (3, 5, 7)" in prepared.source
         assert compare_results(reference, candidate, compare_trace=True,
                                compare_stats=True) == []
         assert candidate.value("acc") == 25
+        assert candidate.stats.selector_case_usage["sel"] == {1: 5}
 
     def test_override_hook_exceptions_propagate_unwrapped(
         self, backend, counter_spec
@@ -229,17 +230,13 @@ class TestPickling:
     unpickling only byte-compiles it — how a process-pool worker started
     with ``spawn`` receives the pool's warm simulation."""
 
-    @pytest.mark.parametrize("specopt", [False, True])
-    def test_round_trip_only_byte_compiles(self, counter_spec, monkeypatch,
-                                           specopt):
+    def test_round_trip_only_byte_compiles(self, counter_spec, monkeypatch):
         import pickle
 
         from repro.compiler import compiled
         from repro.core.comparison import compare_results
 
-        warm = CompiledBackend(specopt=specopt, cache=False).prepare(
-            counter_spec
-        )
+        warm = CompiledBackend(cache=False).prepare(counter_spec)
         payload = pickle.dumps(warm)
 
         def refuse(*args, **kwargs):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.compiler.specopt import SpecOptPasses
 from repro.compiler.threaded import ThreadedBackend, thread_spec
 from repro.core.iosystem import QueueIO
 from repro.core.trace import TraceOptions
 from repro.errors import (
+    BackendError,
     InvalidAluFunctionError,
     MemoryRangeError,
     SelectorRangeError,
@@ -99,13 +99,13 @@ class TestInterpreterOnlyFeatures:
         reference = InterpreterBackend().run(
             counter_spec, cycles=12, override=stuck_bit
         )
-        for specopt in (False, True):
-            candidate = ThreadedBackend(specopt=specopt, cache=False).run(
-                counter_spec, cycles=12, override=stuck_bit
-            )
-            assert candidate.final_values == reference.final_values
-            assert candidate.memory_contents == reference.memory_contents
-            assert candidate.output_integers() == reference.output_integers()
+        candidate = ThreadedBackend(cache=False).run(
+            counter_spec, cycles=12, override=stuck_bit
+        )
+        assert candidate.final_values == reference.final_values
+        assert candidate.memory_contents == reference.memory_contents
+        assert candidate.output_integers() == reference.output_integers()
+        assert candidate.stats == reference.stats
 
     def test_trace_records_raw_override_values(self, counter_spec):
         # state.lookup returns the raw stored value, so an out-of-word
@@ -164,7 +164,7 @@ class TestRuntimeErrors:
         assert excinfo.value.cycle is not None
 
 
-class TestSpecOptIntegration:
+class TestConstantHeavyMachine:
     CONSTANT_HEAVY = """\
 # constants everywhere
 base scaled twin result r .
@@ -176,30 +176,29 @@ M r 0 result 1 1
 .
 """
 
-    def test_specopt_shrinks_program(self):
+    def test_specopt_keyword_accepts_only_false(self):
+        # the keyword survives for callers that spell out specopt=False;
+        # the whole-specification pass pipeline is gone
         spec = parse_spec(self.CONSTANT_HEAVY)
         plain = ThreadedBackend(specopt=False, cache=False).prepare(spec)
-        optimized = ThreadedBackend(specopt=True, cache=False).prepare(spec)
-        assert len(optimized.program.ordered) < len(plain.program.ordered)
-        assert optimized.optimization is not None
-        assert optimized.optimization.changed
+        assert len(plain.program.ordered) == 4
+        with pytest.raises(BackendError, match="specopt"):
+            ThreadedBackend(specopt=True)
 
-    def test_specopt_preserves_observables(self):
+    def test_every_component_is_evaluated_like_the_interpreter(self):
         spec = parse_spec(self.CONSTANT_HEAVY)
         reference = InterpreterBackend().run(spec, cycles=8)
-        optimized = ThreadedBackend(
-            specopt=SpecOptPasses(), cache=False
-        ).run(spec, cycles=8)
-        assert optimized.final_values == reference.final_values
-        assert optimized.memory_contents == reference.memory_contents
+        candidate = ThreadedBackend(cache=False).run(spec, cycles=8)
+        assert candidate.final_values == reference.final_values
+        assert candidate.memory_contents == reference.memory_contents
+        assert candidate.stats == reference.stats
+        assert candidate.stats.component_evaluations == 8 * 5
 
-    def test_tracing_an_optimized_away_component_matches_interpreter(self):
-        # 'base' and 'scaled' are eliminated by specopt; a run-time trace
-        # request for them must still see their per-cycle values
+    def test_tracing_a_constant_component_matches_interpreter(self):
         spec = parse_spec(self.CONSTANT_HEAVY)
         options = TraceOptions(trace_cycles=True, names=("base", "twin"))
         reference = InterpreterBackend().run(spec, cycles=4, trace=options)
-        candidate = ThreadedBackend(specopt=True, cache=False).run(
+        candidate = ThreadedBackend(cache=False).run(
             spec, cycles=4, trace=options
         )
         assert [t.values for t in candidate.trace.cycles] == [

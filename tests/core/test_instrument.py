@@ -75,22 +75,17 @@ class TestHooks:
 
     def test_cycle_trace_limit(self):
         log = TraceLog()
-        inst = Instrumentation(
-            trace_log=log, trace_limit=1, traced=(("x", "value", "x"),)
-        )
+        inst = Instrumentation(trace_log=log, trace_limit=1, traced=("x",))
         assert inst.wants_cycle_trace()
         inst.record_cycle_values(0, {"x": 5})
         assert not inst.wants_cycle_trace()
         assert log.cycles[0].values == {"x": 5}
 
-    def test_record_cycle_values_resolves_constants(self):
+    def test_record_cycle_values_picks_the_traced_names(self):
         log = TraceLog()
-        inst = Instrumentation(
-            trace_log=log,
-            traced=(("gone", "const", 30), ("x", "value", "x")),
-        )
-        inst.record_cycle_values(2, {"x": 8})
-        assert log.cycles[0].values == {"gone": 30, "x": 8}
+        inst = Instrumentation(trace_log=log, traced=("y", "x"))
+        inst.record_cycle_values(2, {"x": 8, "y": 30, "z": 1})
+        assert log.cycles[0].values == {"y": 30, "x": 8}
 
 
 class TestPlanRun:
@@ -102,14 +97,13 @@ M r 0 x 1 1
 .
 """
 
-    def _program(self, specopt=False):
-        return lower(parse_spec(self.SPEC), specopt=specopt)
+    def _program(self):
+        return lower(parse_spec(self.SPEC))
 
     def test_fast_path_builds_no_instrumentation(self):
         plan = plan_run(self._program(), cycles=5, io=None, trace=False,
                         collect_stats=False, override=None)
         assert plan.inst is None
-        assert not plan.uses_full
 
     def test_stats_request_builds_instrumentation(self):
         plan = plan_run(self._program(), cycles=5, io=None, trace=False,
@@ -117,21 +111,18 @@ M r 0 x 1 1
         assert plan.inst is not None
         assert plan.inst.stats is plan.stats
 
-    def test_override_selects_full_variant_only_when_changed(self):
+    def test_override_counts_every_component(self):
         hook = lambda n, v, c: v
-        unchanged = plan_run(self._program(), cycles=1, io=None, trace=False,
-                             collect_stats=False, override=hook)
-        assert not unchanged.uses_full
-        changed = plan_run(
+        plan = plan_run(
             lower(parse_spec(
                 "# consts\nk user r .\nA k 4 1 2\nA user 4 r k\n"
                 "M r 0 user 1 1\n."
-            ), specopt=True),
-            cycles=1, io=None, trace=False, collect_stats=False,
+            )),
+            cycles=1, io=None, trace=False, collect_stats=True,
             override=hook,
         )
-        assert changed.uses_full
-        assert changed.variant.evaluations_per_cycle == 3
+        assert plan.inst.override is hook
+        assert plan.evaluations_per_cycle == 3
 
     def test_unknown_trace_name_raises_when_it_would_record(self):
         options = TraceOptions(trace_cycles=True, names=("nosuch",))
@@ -148,4 +139,4 @@ M r 0 x 1 1
     def test_spec_star_names_used_by_default(self):
         plan = plan_run(self._program(), cycles=3, io=None, trace=True,
                         collect_stats=False, override=None)
-        assert [entry[0] for entry in plan.inst.traced] == ["x"]
+        assert plan.inst.traced == ("x",)

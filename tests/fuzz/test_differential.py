@@ -42,9 +42,9 @@ class TestCleanDifferential:
                 machine.spec, machine.cycles, machine.inputs
             )
             assert report.ok, report.describe()
-            # 6 sequential configs + 6 per executor configuration
+            # 3 sequential configs + 3 per executor configuration
             # (serial / serial with lanes / process)
-            assert report.configs_run == 24
+            assert report.configs_run == 12
             assert "bit-identical" in report.describe()
 
     def test_sequential_only_when_no_executors(self):
@@ -53,7 +53,7 @@ class TestCleanDifferential:
             machine.spec, machine.cycles, machine.inputs, executors=()
         )
         assert report.ok
-        assert report.configs_run == 6
+        assert report.configs_run == 3
 
     def test_runtime_errors_must_agree_everywhere(self):
         """A machine that breaks must break identically on every backend.
@@ -104,8 +104,8 @@ class TestErrorDifferential:
 
         report = run_differential(
             parse_spec(self.BAD_FUNCT), cycles=20,
-            matrix=(("interpreter", False, InterpreterBackend),
-                    ("late", False, LateBackend)),
+            matrix=(("interpreter", InterpreterBackend),
+                    ("late", LateBackend)),
         )
         assert not report.ok
         [failure] = report.failures
@@ -127,8 +127,8 @@ class CorruptingBackend(ThreadedBackend):
 #: interpreter reference + the corrupted candidate, sequential phase only
 #: (pooled runs bypass Backend.run, so the corruption would not show there)
 SABOTAGED_MATRIX = (
-    ("interpreter", False, InterpreterBackend),
-    ("corrupted", False, CorruptingBackend),
+    ("interpreter", InterpreterBackend),
+    ("corrupted", CorruptingBackend),
 )
 
 sabotaged_differential = functools.partial(
@@ -249,12 +249,9 @@ class TestSessionReporting:
         session = run_fuzz_session(21, 2, executors=("serial",))
         assert session.ok
         assert "2 machines ok" in session.describe()
-        assert all(result.report.configs_run == 12
+        assert all(result.report.configs_run == 6
                    for result in session.results)
 
-    def test_matrix_has_six_configurations(self):
-        labels = [label for label, _, _ in backend_matrix()]
-        assert labels == [
-            "interpreter", "threaded", "compiled",
-            "interpreter+specopt", "threaded+specopt", "compiled+specopt",
-        ]
+    def test_matrix_has_three_configurations(self):
+        labels = [label for label, _ in backend_matrix()]
+        assert labels == ["interpreter", "threaded", "compiled"]

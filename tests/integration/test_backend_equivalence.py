@@ -4,8 +4,8 @@ This is the library-wide invariant behind the paper's claim that ASIM II
 "significantly reduces the simulation time over an interpreter while
 maintaining the same functionality": for randomly generated specifications
 and for every bundled machine, the interpreter, threaded and compiled
-backends must produce identical outputs, traces, final values and memory
-contents — with and without the spec-level optimization pipeline.
+backends must produce identical outputs, traces, final values, memory
+contents and statistics.
 """
 
 import pytest
@@ -95,11 +95,11 @@ class TestRandomDatapaths:
     def test_threaded_backend_agrees(self, spec, cycles):
         from repro.compiler.threaded import ThreadedBackend
 
-        # specopt on: random datapaths routinely draw duplicate ALUs, which
-        # exercises the merge pass against the interpreter reference
+        # random datapaths routinely draw duplicate and constant ALUs;
+        # every backend evaluates (and counts) each one
         comparison = compare_backends(
             spec, cycles=cycles,
-            candidate=ThreadedBackend(specopt=True, cache=False),
+            candidate=ThreadedBackend(cache=False), compare_stats=True,
         )
         assert comparison.equivalent, "\n".join(comparison.mismatches)
 
@@ -121,30 +121,28 @@ class TestRandomDatapaths:
 class TestBundledMachines:
     """Every machine that ships with the library, on every backend.
 
-    The interpreter is the reference; the threaded and compiled backends
-    must match it bit for bit on final values, memory contents and
-    memory-mapped outputs — with the spec-level optimization pipeline both
-    off and on.
+    The interpreter is the reference; the threaded and compiled backends,
+    at their defaults, must match it bit for bit on final values, memory
+    contents, memory-mapped outputs, traces and statistics.
     """
 
     #: cycle budget per machine: enough to exercise real behaviour while
-    #: keeping the matrix (6 machines x 2 specopt modes x 2 candidates) fast
+    #: keeping the matrix (machines x 2 candidates) fast
     CYCLE_BUDGET = 600
 
     @pytest.mark.parametrize(
         "machine_name", [entry.name for entry in all_machines()]
     )
-    @pytest.mark.parametrize("specopt", [False, True],
-                             ids=["plain", "specopt"])
-    def test_all_backends_bit_identical(self, machine_name, specopt):
+    def test_all_backends_bit_identical(self, machine_name):
         entry = get_machine(machine_name)
         spec = entry.build()
         cycles = min(entry.demo_cycles, self.CYCLE_BUDGET)
-        results = compare_all_backends(spec, cycles=cycles, specopt=specopt)
+        results = compare_all_backends(spec, cycles=cycles,
+                                       compare_stats=True)
         assert set(results) == {"threaded", "compiled"}
         for backend_name, comparison in results.items():
             assert comparison.equivalent, (
-                f"{machine_name} [{backend_name}, specopt={specopt}]:\n  "
+                f"{machine_name} [{backend_name}]:\n  "
                 + "\n  ".join(comparison.mismatches)
             )
             reference = comparison.reference
@@ -183,9 +181,7 @@ class TestInstrumentationParity:
     @pytest.mark.parametrize(
         "machine_name", [entry.name for entry in all_machines()]
     )
-    @pytest.mark.parametrize("specopt", [False, True],
-                             ids=["plain", "specopt"])
-    def test_same_fault_same_result_same_stats(self, machine_name, specopt):
+    def test_same_fault_same_result_same_stats(self, machine_name):
         from repro.compiler.compiled import CompiledBackend
         from repro.compiler.threaded import ThreadedBackend
         from repro.core.iosystem import QueueIO
@@ -198,8 +194,8 @@ class TestInstrumentationParity:
         fault = self._transient_fault(spec)
         backends = [
             InterpreterBackend(),
-            ThreadedBackend(specopt=specopt, cache=False),
-            CompiledBackend(specopt=specopt, cache=False),
+            ThreadedBackend(cache=False),
+            CompiledBackend(cache=False),
         ]
         outcomes = []
         for backend in backends:
@@ -217,7 +213,7 @@ class TestInstrumentationParity:
             assert candidates == [reference, reference]
             return
         for candidate in candidates:
-            label = f"{machine_name} [{candidate.backend}, specopt={specopt}]"
+            label = f"{machine_name} [{candidate.backend}]"
             assert candidate.final_values == reference.final_values, label
             assert candidate.memory_contents == reference.memory_contents, label
             assert candidate.output_integers() == reference.output_integers(), label
@@ -228,44 +224,67 @@ class TestInstrumentationParity:
             assert list(map(key, candidate.trace.accesses)) == list(
                 map(key, reference.trace.accesses)
             ), label
-            # full statistics parity: an override run executes the full
-            # (pre-specopt) schedule everywhere, so even per-component
-            # breakdowns are identical
+            # full statistics parity: every backend executes the one
+            # schedule, so even per-component breakdowns are identical
             assert candidate.stats == reference.stats, label
 
     @pytest.mark.parametrize(
         "machine_name", [entry.name for entry in all_machines()]
     )
     def test_stats_parity_without_faults(self, machine_name):
-        """With one specopt configuration, plain stats runs agree bit for
-        bit on all three backends (the compiled backend's new full
-        breakdown included)."""
+        """Plain stats runs agree bit for bit on all three backends at
+        their defaults (the compiled backend's full breakdown included)."""
         from repro.core.comparison import assert_all_backends_equivalent
 
         entry = get_machine(machine_name)
         spec = entry.build()
         cycles = min(entry.demo_cycles, self.CYCLE_BUDGET)
-        assert_all_backends_equivalent(
-            spec, cycles=cycles, specopt=False, compare_stats=True
+        assert_all_backends_equivalent(spec, cycles=cycles,
+                                       compare_stats=True)
+
+    #: every seed in ``generate_machine(0..599)`` whose machine has
+    #: constant, duplicate or forwarding components: a whole-specification
+    #: optimizer once rewrote these 43, and the threaded backend, which
+    #: ran it by default, then counted fewer component evaluations than
+    #: the interpreter and compiled backends on 34 of them
+    REWRITABLE_SEEDS = (
+        6, 11, 36, 58, 77, 80, 94, 104, 120, 154, 159, 161, 190, 210, 215,
+        220, 241, 258, 288, 291, 307, 313, 320, 332, 352, 376, 379, 384, 400,
+        414, 440, 456, 463, 480, 492, 516, 528, 529, 537, 565, 568, 571, 583,
+    )
+
+    @pytest.mark.parametrize("seed", REWRITABLE_SEEDS)
+    def test_default_backends_agree_on_stats_of_generated_machines(self,
+                                                                   seed):
+        from repro.core.comparison import (
+            assert_all_backends_equivalent,
+            compare_results,
         )
+        from repro.core.iosystem import QueueIO
+        from repro.core.simulator import BACKEND_NAMES, Simulator
+        from repro.fuzz.generator import generate_machine
 
-    def test_optimized_backends_agree_on_stats(self):
-        """threaded and compiled with the same specopt passes execute the
-        same optimized schedule, so their statistics match each other."""
-        from repro.compiler.compiled import CompiledBackend
-        from repro.compiler.threaded import ThreadedBackend
-        from repro.core.comparison import compare_backends
-
-        entry = get_machine("counter")
-        spec = entry.build()
-        comparison = compare_backends(
-            spec,
-            cycles=min(entry.demo_cycles, self.CYCLE_BUDGET),
-            reference=ThreadedBackend(specopt=True, cache=False),
-            candidate=CompiledBackend(specopt=True, cache=False),
+        machine = generate_machine(seed)
+        assert_all_backends_equivalent(
+            machine.spec, cycles=machine.cycles, inputs=machine.inputs,
             compare_stats=True,
         )
-        assert comparison.equivalent, "\n".join(comparison.mismatches)
+        # each backend as a user gets it: by name, every option defaulted
+        results = {
+            name: Simulator(machine.spec, backend=name).run(
+                cycles=machine.cycles,
+                io=QueueIO(machine.inputs, strict=False),
+            )
+            for name in BACKEND_NAMES
+        }
+        assert {result.stats.component_evaluations
+                for result in results.values()} == {
+            machine.cycles * len(machine.spec.components)
+        }
+        for name in ("threaded", "compiled"):
+            assert compare_results(results["interpreter"], results[name],
+                                   compare_trace=True,
+                                   compare_stats=True) == [], name
 
 
 def _upset_everything(name, value, cycle):
@@ -301,7 +320,6 @@ class TestCompiledKernelParity:
         "stats-and-trace": ({}, dict(trace=_FULL_TRACE)),
         "unoptimized": (dict(options=CodegenOptions.unoptimized()),
                         dict(trace=_FULL_TRACE)),
-        "specopt": (dict(specopt=True), dict(trace=_FULL_TRACE)),
         "deadline": ({}, {}),
         "override": ({}, dict(trace=_FULL_TRACE, override=_upset_everything)),
     }
@@ -314,7 +332,6 @@ class TestCompiledKernelParity:
         import time
 
         from repro.compiler.compiled import CompiledBackend
-        from repro.compiler.threaded import ThreadedBackend
         from repro.core.comparison import compare_results
         from repro.core.instrument import run_deadline
         from repro.core.iosystem import QueueIO
@@ -327,10 +344,7 @@ class TestCompiledKernelParity:
         spec = entry.build()
         run_args = {"cycles": min(entry.demo_cycles, self.CYCLE_BUDGET),
                     **run_args}
-        # specopt changes the schedule the statistics count; the threaded
-        # backend runs the same optimized schedule
-        reference = (ThreadedBackend(specopt=True, cache=False)
-                     if "specopt" in compiled_args else InterpreterBackend())
+        reference = InterpreterBackend()
         candidate = CompiledBackend(cache=False, **compiled_args)
         results = []
         for backend in (reference, candidate):

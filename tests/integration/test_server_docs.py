@@ -93,6 +93,7 @@ def test_error_kinds_are_documented():
         "shutting_down", "internal_error", "overloaded",
         "deadline_exceeded", "worker_crash", "invalid_timeout",
         "no_healthy_node", "upstream_failed", "unknown_trace",
+        "malformed_http",
     ):
         assert kind in text, f"error kind '{kind}' undocumented"
 

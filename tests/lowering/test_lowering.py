@@ -30,65 +30,27 @@ class TestLowerPlain:
         assert set(program.slots) == {"next", "wrapped", "count", "outport"}
         assert program.value_count == 4 + 3 * 2  # components + latch scratch
 
-    def test_fast_is_full_without_specopt(self, counter_spec):
-        program = lower(counter_spec)
-        assert program.fast is program.full
-        assert not program.changed
-        assert program.optimization is None
+    def test_schedule_keeps_every_component(self):
+        # one schedule per specification: constant and duplicate
+        # components are evaluated (and counted) like any other
+        program = lower(parse_spec(CONSTANT_HEAVY))
+        assert sorted(c.name for c in program.ordered) == [
+            "base", "result", "scaled", "twin",
+        ]
+        assert program.evaluations_per_cycle == 5
 
     def test_steps_mirror_schedule(self, counter_spec):
         program = lower(counter_spec)
-        assert len(program.fast.steps) == len(program.fast.ordered)
+        assert len(program.steps) == len(program.ordered)
         assert all(
             isinstance(step, (AluStep, SelectorStep))
-            for step in program.fast.steps
+            for step in program.steps
         )
         assert all(
             isinstance(step, MemoryStep)
-            for step in program.fast.memory_steps
+            for step in program.memory_steps
         )
-        assert program.fast.evaluations_per_cycle == 4
-
-    def test_observables_all_live(self, counter_spec):
-        program = lower(counter_spec)
-        assert all(
-            resolution == ("live", name)
-            for name, resolution in program.observables.items()
-        )
-
-
-class TestLowerWithSpecopt:
-    def test_full_variant_keeps_original_schedule(self):
-        spec = parse_spec(CONSTANT_HEAVY)
-        program = lower(spec, specopt=True)
-        assert program.changed
-        assert len(program.fast.ordered) < len(program.full.ordered)
-        assert len(program.full.ordered) == 4
-        # both variants share one slot layout over the original names
-        assert set(program.slots) >= {"base", "scaled", "twin", "result", "r"}
-
-    def test_observables_map_back_to_pre_specopt_names(self):
-        spec = parse_spec(CONSTANT_HEAVY)
-        program = lower(spec, specopt=True)
-        assert program.observables["base"] == ("const", 30)
-        assert program.observables["scaled"] == ("const", 60)
-        # 'result' duplicates 'twin'; whichever survived, the other aliases it
-        kinds = {
-            name: program.observables[name][0]
-            for name in ("twin", "result")
-        }
-        assert sorted(kinds.values()) == ["alias", "live"]
-
-    def test_restore_final_values(self):
-        spec = parse_spec(CONSTANT_HEAVY)
-        program = lower(spec, specopt=True)
-        final = {"twin": 9, "r": 8}
-        program.restore_final_values(final, cycles_run=3)
-        assert final["base"] == 30
-        assert final["scaled"] == 60
-        assert final["result"] == 9
-        program.restore_final_values(final, cycles_run=0)
-        assert final["base"] == 0
+        assert program.evaluations_per_cycle == 4
 
     def test_artifact_memo_returns_hit_flag(self, counter_spec):
         program = lower(counter_spec)
@@ -103,18 +65,16 @@ class TestPicklability:
 
     def test_round_trip_runs_identically(self):
         spec = parse_spec(CONSTANT_HEAVY)
-        program = lower(spec, specopt=True)
-        program.artifact(("threaded", False),
-                         lambda: ThreadedProgram(program, False))
+        program = lower(spec)
+        program.artifact(("threaded",), lambda: ThreadedProgram(program))
         clone = pickle.loads(pickle.dumps(program))
         # the artifact memo (closures, unpicklable) is dropped, the IR kept
         assert clone.slots == program.slots
-        assert clone.observables == program.observables
-        _, hit = clone.artifact(("threaded", False),
-                                lambda: ThreadedProgram(clone, False))
+        _, hit = clone.artifact(("threaded",),
+                                lambda: ThreadedProgram(clone))
         assert not hit  # re-derived, not smuggled through the pickle
 
-        plans = ThreadedProgram(clone, full=False)
+        plans = ThreadedProgram(clone)
         ctx = RunContext(
             values=clone.initial_values(),
             memory_arrays=clone.initial_memory_arrays(),
@@ -126,35 +86,28 @@ class TestPicklability:
             ctx.cycle_box[0] = cycle
             for op in ops:
                 op()
-        final = plans.visible_values(ctx.values)
-        clone.restore_final_values(final, 8)
+        final = clone.visible_values(ctx.values)
         reference = InterpreterBackend().run(spec, cycles=8)
         assert final == reference.final_values
 
     def test_round_trip_preserves_every_ir_field(self):
         """The process-pool guarantee: a pickled program is the program.
 
-        Every field a backend consumes — slot layout, both variants'
-        step lists, observables, pass configuration — survives the trip
-        bit-for-bit (steps are frozen dataclasses, compared by value).
+        Every field a backend consumes — slot layout, schedule and step
+        lists — survives the trip bit-for-bit (steps are frozen
+        dataclasses, compared by value).
         """
         spec = parse_spec(CONSTANT_HEAVY)
-        program = lower(spec, specopt=True)
+        program = lower(spec)
         clone = pickle.loads(pickle.dumps(program))
-        assert clone.passes == program.passes
         assert clone.slots == program.slots
         assert clone.latch_base == program.latch_base
         assert clone.value_count == program.value_count
-        assert clone.observables == program.observables
-        for variant, original in ((clone.fast, program.fast),
-                                  (clone.full, program.full)):
-            assert variant.steps == original.steps
-            assert variant.memory_steps == original.memory_steps
-            assert [c.name for c in variant.ordered] == [
-                c.name for c in original.ordered
-            ]
-        # the fast/full aliasing decision survives too
-        assert (clone.full is clone.fast) == (program.full is program.fast)
+        assert clone.steps == program.steps
+        assert clone.memory_steps == program.memory_steps
+        assert [c.name for c in clone.ordered] == [
+            c.name for c in program.ordered
+        ]
 
     def test_round_trip_is_bit_identical_on_every_backend(self, counter_spec):
         """A shipped program must drive all three backends to the same
@@ -169,20 +122,16 @@ class TestPicklability:
 
         # interpreter: bind the shipped program directly
         direct = InterpreterSimulation(counter_spec, shipped, 0.0)
-        reference = InterpreterBackend(specopt=True).run(
-            counter_spec, cycles=12
-        )
+        reference = InterpreterBackend().run(counter_spec, cycles=12)
         assert direct.run(cycles=12).final_values == reference.final_values
 
         # threaded/compiled: seed a fresh cache with the shipped program
         worker_cache = PrepareCache()
-        key = worker_cache.key_for("lowered", counter_spec, warm.program.passes)
+        key = worker_cache.key_for("lowered", counter_spec)
         worker_cache.get_or_create(key, lambda: shipped)
         threaded = ThreadedBackend(cache=worker_cache).prepare(counter_spec)
         assert threaded.program is shipped
-        compiled = CompiledBackend(
-            specopt=warm.program.passes, cache=worker_cache
-        ).prepare(counter_spec)
+        compiled = CompiledBackend(cache=worker_cache).prepare(counter_spec)
         assert compiled.program is shipped
         expected = warm.run(cycles=12).final_values
         assert threaded.run(cycles=12).final_values == expected
@@ -192,35 +141,27 @@ class TestPicklability:
 class TestLowerCached:
     def test_cache_stores_the_program_itself(self, counter_spec):
         cache = PrepareCache(max_entries=4)
-        first, hit1 = lower_cached(counter_spec, True, cache)
-        second, hit2 = lower_cached(counter_spec, True, cache)
+        first, hit1 = lower_cached(counter_spec, cache)
+        second, hit2 = lower_cached(counter_spec, cache)
         assert (hit1, hit2) == (False, True)
         assert second is first
-
-    def test_pass_configuration_is_part_of_the_key(self, counter_spec):
-        cache = PrepareCache(max_entries=4)
-        lower_cached(counter_spec, True, cache)
-        _, hit = lower_cached(counter_spec, False, cache)
-        assert not hit
 
     def test_backends_share_one_cached_program(self, counter_spec):
         from repro.compiler.compiled import CompiledBackend
         from repro.compiler.threaded import ThreadedBackend
 
         cache = PrepareCache(max_entries=4)
-        threaded = ThreadedBackend(specopt=False, cache=cache).prepare(
-            counter_spec
-        )
-        compiled = CompiledBackend(specopt=False, cache=cache).prepare(
-            counter_spec
-        )
+        threaded = ThreadedBackend(cache=cache).prepare(counter_spec)
+        compiled = CompiledBackend(cache=cache).prepare(counter_spec)
         assert compiled.program is threaded.program
         assert len(cache) == 1
 
 
-class TestCopyPropagationLowering:
+class TestForwardingSelector:
+    #: 'fwd' has a constant select whose case is a bare reference: it
+    #: forwards 'src' every cycle, and is evaluated like any selector
     COPY_SPEC = """\
-# copy propagated selector
+# forwarding selector
 src fwd user r .
 A src 4 r 1
 S fwd 1 33 src 44
@@ -229,22 +170,17 @@ M r 0 user 1 1
 .
 """
 
-    def test_forwarded_selector_resolves_to_alias(self):
-        spec = parse_spec(self.COPY_SPEC)
-        program = lower(spec, specopt=True)
-        assert program.observables["fwd"] == ("alias", "src")
-        assert "fwd" not in program.opt_spec.component_names()
-
-    def test_trace_of_forwarded_name_matches_interpreter(self):
+    def test_trace_of_forwarding_selector_matches_interpreter(self):
         from repro.compiler.threaded import ThreadedBackend
         from repro.core.trace import TraceOptions
 
         spec = parse_spec(self.COPY_SPEC)
         options = TraceOptions(trace_cycles=True, names=("fwd", "user"))
         reference = InterpreterBackend().run(spec, cycles=6, trace=options)
-        candidate = ThreadedBackend(specopt=True, cache=False).run(
+        candidate = ThreadedBackend(cache=False).run(
             spec, cycles=6, trace=options
         )
         assert [t.values for t in candidate.trace.cycles] == [
             t.values for t in reference.trace.cycles
         ]
+        assert candidate.stats == reference.stats

@@ -3,8 +3,9 @@
 This is the serving layer's central correctness claim, mirroring the
 paper's interpreter-vs-compiler equivalence argument: fanning runs out
 over a worker pool must not change a single observable bit — final
-component values, full memory contents, and the memory-mapped output
-stream all match a sequential run of the same prepared backend.  The
+component values, full memory contents, the memory-mapped output stream
+and the statistics all match a sequential run of the same prepared
+backend.  The
 sweep covers every configuration that reorganises execution: worker
 processes running the pool's warm prepared simulation shipped to them at
 pool startup, and lane groups running N variants through one walk of the
@@ -43,6 +44,7 @@ def observables(result):
         result.final_values,
         result.memory_contents,
         [(event.address, event.value) for event in result.outputs],
+        result.stats,
     )
 
 

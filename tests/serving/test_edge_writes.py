@@ -132,6 +132,14 @@ class TestOneWritePerResponse:
         assert response.getheader("Retry-After") == "1"
         assert json.loads(data)["error"]["type"] == "overloaded"
 
+    @pytest.mark.parametrize("method", ["PUT", "HEAD"])
+    def test_method_not_allowed(self, app, connection, writes, method):
+        # a HEAD answer is its status line and headers alone
+        response, data = exchange(app, connection, writes, method, "/v1/run")
+        assert response.status == 405
+        assert response.getheader("Allow") == "POST"
+        assert (data == b"") == (method == "HEAD")
+
     def test_metrics_text(self, app, connection, writes):
         response, data = exchange(app, connection, writes, "GET", "/metrics")
         assert response.status == 200

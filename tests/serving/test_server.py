@@ -103,6 +103,10 @@ class TestPlumbing:
             assert isinstance(row["supports_full_stats"], bool)
         assert rows["threaded"]["prepare_cache"] is True
         assert rows["interpreter"]["prepare_cache"] is False
+        # one program per specification: no optimizer setting to report
+        assert all(set(row) == {"name", "supports_override",
+                                "supports_full_stats", "prepare_cache",
+                                "executors"} for row in rows.values())
 
     def test_backends_advertise_supported_executors(self, server):
         from repro.serving import EXECUTOR_NAMES
@@ -258,6 +262,80 @@ class TestEdge:
         assert status == 405
         assert document["error"]["type"] == "method_not_allowed"
 
+    @pytest.mark.parametrize("method, route, status, kind, allow", [
+        ("PUT", "/v1/run", 405, "method_not_allowed", "POST"),
+        ("DELETE", "/v1/stats", 405, "method_not_allowed", "GET"),
+        ("OPTIONS", "/v1/run", 405, "method_not_allowed", "POST"),
+        ("BREW", "/healthz", 405, "method_not_allowed", "GET"),
+        ("PATCH", "/v1/nope", 404, "unknown_route", None),
+    ], ids=["put", "delete", "options", "unknown-method", "unknown-route"])
+    def test_every_method_gets_the_json_error(self, app, method, route,
+                                              status, kind, allow):
+        # not http.server's HTML 501 page with Connection: close: the
+        # documented envelope, and the connection keeps serving
+        connection = http.client.HTTPConnection(app.host, app.port,
+                                                timeout=30)
+        try:
+            connection.request(method, route, body=b'{"x": 1}')
+            response = connection.getresponse()
+            document = json.loads(response.read())
+            assert response.status == status
+            assert response.getheader("Content-Type") == "application/json"
+            assert response.getheader("Allow") == allow
+            assert response.getheader("Connection") is None
+            assert document["error"]["type"] == kind
+            connection.request("GET", "/healthz")
+            follow_up = connection.getresponse()
+            assert follow_up.status == 200
+            assert json.loads(follow_up.read())["status"] == "ok"
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("route, status", [
+        ("/healthz", 405), ("/v1/run", 405), ("/v1/nope", 404),
+    ])
+    def test_head_gets_the_headers_and_no_body(self, app, route, status):
+        # a body after a HEAD answer would be read as the start of the
+        # next response on this kept-alive connection
+        connection = http.client.HTTPConnection(app.host, app.port,
+                                                timeout=30)
+        try:
+            connection.request("HEAD", route)
+            response = connection.getresponse()
+            assert response.status == status
+            assert response.getheader("Content-Type") == "application/json"
+            assert int(response.getheader("Content-Length")) > 0
+            assert response.read() == b""
+            connection.request("GET", "/healthz")
+            follow_up = connection.getresponse()
+            assert follow_up.status == 200
+            assert json.loads(follow_up.read())["status"] == "ok"
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("raw, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /healthz HTTP/9.9\r\n\r\n", 505),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 120 + b"\r\n", 431),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    ], ids=["request-line", "version", "headers", "uri"])
+    def test_http_server_rejections_are_json(self, app, raw, status):
+        received = b""
+        with socket.create_connection((app.host, app.port),
+                                      timeout=30) as sock:
+            try:
+                sock.sendall(raw)
+                while chunk := sock.recv(65536):  # b"" once it closes
+                    received += chunk
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # closed with the request unread: the answer came first
+        head, _, body = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Content-Type: application/json" in lines
+        assert "Connection: close" in lines
+        assert json.loads(body)["error"]["type"] == "malformed_http"
+
     def test_trailing_slash_is_tolerated(self, app):
         status, _ = get(app, "/healthz/")
         assert status == 200
@@ -398,6 +476,26 @@ class TestServing:
             "type": "InvalidAluFunctionError",
             "message": "cycle 14: ALU 'a' computed function code 14",
         }
+
+    def test_default_statistics_agree_across_backends(self, server):
+        # a machine with constant and duplicate components: every backend
+        # evaluates and counts each one, so the wire statistics agree
+        from repro.fuzz.generator import generate_machine
+        from repro.rtl.writer import spec_to_text
+
+        machine = generate_machine(6)
+        stats = {}
+        for backend in BACKEND_NAMES:
+            status, document = post(server, "/v1/run", {
+                "spec": spec_to_text(machine.spec),
+                "cycles": machine.cycles, "inputs": list(machine.inputs),
+                "backend": backend,
+            })
+            assert status == 200, document
+            stats[backend] = document["result"]["stats"]
+        assert stats["threaded"] == stats["compiled"] == stats["interpreter"]
+        assert stats["compiled"]["component_evaluations"] == (
+            machine.cycles * len(machine.spec.components))
 
     def test_single_run_over_http(self, server):
         status, document = post(server, "/v1/run", {

@@ -266,11 +266,10 @@ class TestSpawnedPools:
 
     @pytest.mark.parametrize("backend_class",
                              [CompiledBackend, ThreadedBackend])
-    def test_specopt_override_runs_use_the_full_kernel(self, backend_class):
+    def test_override_runs_are_bit_identical(self, backend_class):
         spec = parse_spec(FOLDED_TABLE_SPEC)
-        backend = backend_class(specopt=True, cache=False)
+        backend = backend_class(cache=False)
         warm = backend.prepare(spec)
-        assert warm.program.changed
         runs = [
             RunRequest(cycles=5, override=ConstantOverride((("sel", 3),))),
             RunRequest(cycles=5),
