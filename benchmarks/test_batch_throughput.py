@@ -12,8 +12,8 @@ simulations".  Three dimensions are measured into the schema-v4
   prepare) shows no win, while threaded and compiled must beat the
   naive loop.
 * **the executor dimension**: the same CPU-bound batch pushed through
-  both strategies.  The process pool ships the lowered program to
-  worker processes once and runs truly in parallel, so on a multi-core
+  both strategies.  The process pool ships its warm prepared simulation
+  to worker processes once and runs truly in parallel, so on a multi-core
   host, with the tuned default chunk size (two chunks per worker), its
   runs/sec must not lose to serial for the threaded and compiled
   backends.  The process row also records its dispatch/IPC
@@ -26,8 +26,10 @@ simulations".  Three dimensions are measured into the schema-v4
   per-run dispatch dominates compute — pushed through the serial
   strategy at several lane widths against the same strategy without
   lanes, on warm pools kept side by side and measured in alternation.
-  One walk of the schedule carries the whole lane group, so for the
-  compiled backend lanes must deliver >= 3x the scalar runs/sec.
+  On the compiled backend one walk of the schedule carries the whole
+  lane group, so its lanes must deliver >= 3x the scalar runs/sec; the
+  other backends run each lane as its scalar run, and their rows are
+  recorded, not asserted.
 
 Every measured batch is checked bit-identical to the naive loop's
 results, whatever strategy ran it.  The trajectory file is written only
@@ -107,9 +109,10 @@ EXEC_WORKERS = {"serial": 1, "process": 2 if SMOKE else 4}
 
 #: The lane dimension: a small-cycle batch on a small machine, where
 #: per-run dispatch overhead — not simulation compute — dominates.  That
-#: is exactly the regime lane vectorization exists for: one schedule walk
-#: carries the whole group, so per-run plan construction, scheduling and
-#: result plumbing are paid once per lane group instead of once per run.
+#: is exactly the regime lane vectorization exists for: the compiled lane
+#: kernel's one schedule walk carries the whole group, so per-run plan
+#: construction, scheduling and result plumbing are paid once per lane
+#: group instead of once per run.
 LANE_MACHINE = "counter"
 LANE_RUNS = 8 if SMOKE else 256
 LANE_CYCLES = 2

@@ -7,8 +7,9 @@ prepared machine, and the asyncio front-end drives a pool from async
 code without blocking the event loop.
 It also shows the serving wins the ``BENCH_batch.json`` benchmark
 measures — the pooled batch against the naive prepare-per-request loop,
-and the process executor (``executor="process"``) that ships the lowered
-program to worker processes once and scales with CPU cores.
+and the process executor (``executor="process"``) that ships the pool's
+warm prepared simulation to worker processes once and scales with CPU
+cores.
 
 Run with:  python examples/batch_serving.py
 """
@@ -63,7 +64,7 @@ def throughput_demo() -> None:
 
 
 def process_pool_demo() -> None:
-    # true multi-core serving: the lowered program ships to worker
+    # true multi-core serving: the warm prepared simulation ships to worker
     # processes once at pool startup; on a multi-core host the CPU-bound
     # batch scales with cores instead of interleaving on the GIL
     workload = prepare_sieve_workload(6)

@@ -170,10 +170,12 @@ REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/test_batch_throughput.py \
 echo "== lane smoke (serve-batch --lane-width N --check on the sieve) =="
 # lane groups must serve a real batch end-to-end through the CLI and
 # verify themselves bit-identical against the sequential loop (--check),
-# inline on the serial strategy and inside process workers — so the
-# vectorized path cannot silently rot between full test runs; the
-# 'lane' and 'thread' executor aliases each serve one batch too, so the
-# accepted input names cannot rot either
+# inline on the serial strategy and inside process workers.  Only the
+# compiled backend vectorizes (its generated simulate_lanes serves
+# stats-off groups); every other group runs each lane as its scalar
+# run, so one threaded batch keeps that path served too.  The 'lane'
+# and 'thread' executor aliases each serve one batch, so the accepted
+# input names cannot rot either
 LANE_SPEC="$(mktemp --suffix=.spec)"
 python - "$LANE_SPEC" <<'LANESPEC'
 import sys
@@ -189,6 +191,8 @@ python -m repro serve-batch "$LANE_SPEC" --executor serial --lane-width 16 \
     --check -c 1200 -n 8 -b compiled > /dev/null
 python -m repro serve-batch "$LANE_SPEC" --executor process --lane-width 4 \
     --check -c 1200 -n 8 -w 2 -b compiled > /dev/null
+python -m repro serve-batch "$LANE_SPEC" --executor serial --lane-width 16 \
+    --check -c 1200 -n 8 -b threaded > /dev/null
 python -m repro serve-batch "$LANE_SPEC" --executor lane --check \
     -c 1200 -n 8 -b compiled > /dev/null
 python -m repro serve-batch "$LANE_SPEC" --executor thread --check \

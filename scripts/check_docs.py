@@ -40,7 +40,6 @@ REQUIRED_MODULES = (
     "serving/router.py",
     "serving/edge.py",
     "serving/tracing.py",
-    "lowering/lanes.py",
     "compiler/cache.py",
     "rtl/interchange.py",
     "fuzz/__init__.py",

@@ -159,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor", choices=EXECUTOR_CHOICES,
         default="serial",
         help="execution strategy: serial (inline) or process (true "
-        "multi-core; ships the lowered program to worker processes "
-        "once); thread and lane are aliases of serial, lane at "
+        "multi-core; ships the pool's warm prepared simulation to worker "
+        "processes once); thread and lane are aliases of serial, lane at "
         "--lane-width or 16 (default: serial)",
     )
     serve_parser.add_argument(
@@ -170,9 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--lane-width", type=int, default=None, metavar="N",
-        help="runs per lane group (N >= 2 advances compatible runs "
-        "together in one schedule walk, inline or inside each process "
-        "worker; default: scalar, 16 for --executor lane)",
+        help="runs per lane group (N >= 2 groups compatible runs, inline "
+        "or inside each process worker; compiled runs a stats-off group "
+        "in one schedule walk, every other group each lane as its scalar "
+        "run; default: scalar, 16 for --executor lane)",
     )
     serve_parser.add_argument(
         "-c", "--cycles", type=int, default=None,

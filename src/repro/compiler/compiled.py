@@ -20,7 +20,9 @@ statement emitters (the paper's Section 4.4 specialisations included):
   fast path's time on the Figure 5.1 sieve (a hook per component per
   cycle cost ~17x);
 * ``simulate_lanes`` — the lane fast path (N uninstrumented runs per walk
-  of the schedule).
+  of the schedule).  It serves statistics-free lane groups; groups that
+  collect statistics run each lane as its scalar run on
+  ``simulate_instrumented``, as every other backend runs every lane.
 
 Every entry point raises a rejected ALU function code as the other
 backends do — ``cycle N: ALU 'a' computed function code C`` — from a
@@ -59,6 +61,7 @@ from repro.compiler.codegen_python import generate_program_python
 from repro.compiler.optimizer import CodegenOptions
 from repro.core.backend import (
     Backend,
+    LaneOutcome,
     PreparedSimulation,
     ValueOverride,
     resolve_cycles,
@@ -187,18 +190,15 @@ class CompiledSimulation(PreparedSimulation):
         cycles: int | None = None,
         ios: Iterable[IOSystem] = (),
         collect_stats: bool = True,
-    ) -> list:
+    ) -> list[LaneOutcome]:
         """Lane groups run the generated ``simulate_lanes`` entry point.
 
         The generated lane loop counts no statistics, so
-        statistics-collecting groups run each lane on the generated
-        ``simulate_instrumented`` kernel instead (a lane's result and
-        error are then exactly its scalar run's).
+        statistics-collecting groups run each lane as its scalar run, on
+        the generated ``simulate_instrumented`` kernel.
         """
         if collect_stats:
-            return self._run_each_lane(cycles, ios, collect_stats)
-        from repro.lowering.lanes import LaneOutcome
-
+            return super().run_lanes(cycles, ios, collect_stats)
         ios = list(ios)
         if not ios:
             return []
@@ -219,7 +219,7 @@ class CompiledSimulation(PreparedSimulation):
         # empty statistics object — placeholders, not per-run accumulators
         shared_trace = TraceLog(enabled=False)
         shared_stats = SimulationStats()
-        outcomes: list = []
+        outcomes: list[LaneOutcome] = []
         for lane, io in enumerate(ios):
             error = errors[lane]
             if error is not None:

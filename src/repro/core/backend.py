@@ -15,11 +15,18 @@ plus the classic middle point of the design space they frame:
 for ASIM, "generate code" + "compile" for ASIM II) and ``run`` to the
 simulation phase; both report their elapsed time so that Figure 5.1 can be
 regenerated.
+
+``run_lanes`` runs one lane group (the serving layer's batching of
+compatible requests, :mod:`repro.serving.executor`).  The compiled
+backend generates a lane kernel for statistics-free groups; every other
+backend, and compiled groups that collect statistics, run each lane as
+its scalar ``run``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.iosystem import IOSystem
@@ -56,6 +63,14 @@ def resolve_trace(spec: Specification, trace: TraceOptions | bool | None) -> Tra
         # The specification asked for tracing via '*' declarations.
         return TraceOptions(trace_cycles=True, trace_memory_accesses=True)
     return TraceOptions.disabled()
+
+
+@dataclass
+class LaneOutcome:
+    """What one lane produced: exactly one of ``result``/``error`` is set."""
+
+    result: SimulationResult | None
+    error: Exception | None
 
 
 class PreparedSimulation(ABC):
@@ -121,41 +136,17 @@ class PreparedSimulation(ABC):
         cycles: int | None = None,
         ios: Iterable[IOSystem] = (),
         collect_stats: bool = True,
-    ) -> list:
-        """Run one lane group: N runs advanced together, one per I/O system.
+    ) -> list[LaneOutcome]:
+        """Run one lane group: the same cycle count once per I/O system.
 
-        Every lane executes the same cycle count with fast-path (untraced,
-        override-free) semantics; see :mod:`repro.lowering.lanes`.  Returns
-        one ``LaneOutcome`` per lane, in order — a lane that raises records
-        its error without poisoning its neighbours.  Backends exposing the
-        shared lowered ``program`` get the generic lane evaluator for free;
-        anything else falls back to scalar runs per lane, so third-party
-        backends stay correct without opting in.
+        Every lane executes with fast-path (untraced, override-free)
+        semantics.  Returns one :class:`LaneOutcome` per lane, in order.
+        Here each lane is its own scalar ``run``, so a lane's result or
+        :class:`~repro.errors.SimulationError` is exactly its scalar
+        run's, and a lane that raises leaves its neighbours untouched.
+        The compiled backend overrides this with its generated lane
+        kernel for statistics-free groups.
         """
-        program = getattr(self, "program", None)
-        if program is None:
-            return self._run_each_lane(cycles, ios, collect_stats)
-        from repro.lowering.lanes import run_lanes
-
-        return run_lanes(
-            program,
-            cycles=cycles,
-            ios=ios,
-            collect_stats=collect_stats,
-            backend_name=self.backend_name,
-            prepare_seconds=self.prepare_seconds,
-        )
-
-    def _run_each_lane(
-        self,
-        cycles: int | None,
-        ios: Iterable[IOSystem],
-        collect_stats: bool,
-    ) -> list:
-        """A lane group as one scalar ``run`` per lane: each lane's result
-        or :class:`~repro.errors.SimulationError` is its scalar run's."""
-        from repro.lowering.lanes import LaneOutcome
-
         outcomes = []
         for io in ios:
             try:

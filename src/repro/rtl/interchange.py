@@ -79,8 +79,9 @@ FORMAT_NAME = "repro-spec"
 #: rejects versions it does not know rather than guessing.
 FORMAT_VERSION = 1
 
-#: Abuse guards for documents arriving over the wire: a spec bigger than
-#: this is rejected as ``invalid_spec`` before any object is built.
+#: Abuse guards for machines arriving over the wire, held by
+#: :func:`check_spec_limits`; a JSON document over the component or case
+#: cap is rejected before any object is built.
 MAX_COMPONENTS = 4096
 MAX_TOTAL_MEMORY_CELLS = 1 << 20
 MAX_SELECTOR_CASES = 1 << 12
@@ -444,16 +445,6 @@ def spec_from_json(doc: Any, validate: bool = True) -> Specification:
         _component_from_json(component, f"$.components[{index}]")
         for index, component in enumerate(components_doc)
     )
-    total_cells = sum(
-        component.size for component in components
-        if isinstance(component, Memory)
-    )
-    if total_cells > MAX_TOTAL_MEMORY_CELLS:
-        _fail(
-            f"memories total {total_cells} cells; the format allows at most "
-            f"{MAX_TOTAL_MEMORY_CELLS}",
-            "$.components",
-        )
 
     declarations_doc = doc.get("declarations", [])
     _require(declarations_doc, list, "$.declarations", "'declarations'")
@@ -470,6 +461,7 @@ def spec_from_json(doc: Any, validate: bool = True) -> Specification:
             cycles=cycles,
             source_name=name,
         )
+        check_spec_limits(spec)
     except SpecificationError as exc:
         raise SpecFormatError(str(exc), path="$.components") from exc
     if validate:
@@ -481,6 +473,28 @@ def spec_from_json(doc: Any, validate: bool = True) -> Specification:
                 path="$",
             ) from exc
     return spec
+
+
+def check_spec_limits(spec: Specification) -> None:
+    """The one spec gate: refuse a built machine over any wire cap.
+
+    :func:`spec_from_json` applies it to every document, and the serving
+    protocol to every inline text ``spec``.  Raises
+    :class:`~repro.errors.ValidationError` for the first cap exceeded.
+    """
+    sizes = (
+        (len(spec.components), MAX_COMPONENTS, "components"),
+        (sum(memory.size for memory in spec.memories()),
+         MAX_TOTAL_MEMORY_CELLS, "memory cells in total"),
+        (max((selector.case_count for selector in spec.selectors()),
+             default=0), MAX_SELECTOR_CASES, "cases in one selector"),
+    )
+    for size, cap, what in sizes:
+        if size > cap:
+            raise ValidationError(
+                [f"specification has {size} {what}; at most {cap} are "
+                 f"accepted"]
+            )
 
 
 def spec_from_json_text(text: str | bytes, validate: bool = True) -> Specification:

@@ -20,12 +20,14 @@ Four pieces implement that:
   ``serial`` (inline on the caller's thread) and ``process`` (true
   multi-core: the pool's warm prepared simulation reaches each worker
   process once, at pool startup, and requests travel in chunks).
-  ``lane_width`` N >= 2 turns on lane groups on either
-  (:mod:`repro.lowering.lanes`: N
-  compatible run variants advanced together through one walk of the
-  dependency-scheduled step list, amortising per-run dispatch overhead —
-  lanes within each worker, chunks across workers); the input names
-  ``thread`` and ``lane`` remain accepted as aliases of ``serial``;
+  ``lane_width`` N >= 2 turns on lane groups of N compatible run
+  variants on either (lanes within each worker, chunks across workers):
+  the compiled backend generates a lane kernel that advances a
+  statistics-free group through one walk of the dependency-scheduled
+  step list, amortising per-run dispatch overhead; other backends, and
+  compiled groups that collect statistics, run each lane as its scalar
+  run.  The input names ``thread`` and ``lane`` remain accepted as
+  aliases of ``serial``;
 * :class:`~repro.serving.pool.SimulationPool` (:mod:`repro.serving.pool`)
   — the pool over a chosen strategy; every in-process run shares the
   pool's single warm prepared simulation (prepared simulations are

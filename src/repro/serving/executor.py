@@ -21,16 +21,18 @@ decision to an :class:`ExecutorStrategy`; there are two:
   :class:`RunOutcome` values with per-item error capture.
 
 ``lane_width`` means the same on both: ``None`` (or 1) runs every request
-scalar, and N >= 2 turns on lane-vectorized batching
-(:mod:`repro.lowering.lanes`).  Compatible requests — same cycle count,
-same instrumentation profile, no trace/override/deadline — are grouped
-into lane groups of up to N and the whole group executes in **one walk**
-of the per-cycle schedule, amortising every per-run cost (plan
-construction, dispatch, result plumbing).  Incompatible requests run
-scalar inside the same chunk, and a lane whose run raises yields a
-per-item error without touching its neighbours.  One chunk runner
-(:func:`run_chunk`) does this for both strategies: inline for serial,
-inside each worker for process (chunks across workers, lanes within).
+scalar, and N >= 2 groups compatible requests — same cycle count, same
+instrumentation profile, no trace/override/deadline — into lane groups
+of up to N, each one
+:meth:`~repro.core.backend.PreparedSimulation.run_lanes` call.  The
+compiled backend runs a statistics-free group in **one walk** of the
+per-cycle schedule (its generated ``simulate_lanes``), amortising every
+per-run cost; other groups run each lane as its scalar run.
+Incompatible requests run scalar inside the same chunk, and a lane whose
+run raises yields a per-item error without touching its neighbours.  One
+chunk runner (:func:`run_chunk`) does this for both strategies: inline
+for serial, inside each worker for process (chunks across workers, lanes
+within).
 
 The input names ``thread`` and ``lane`` are still accepted (on the
 wire, in the CLI and by the pool) and mapped onto a strategy and width by
@@ -61,13 +63,17 @@ from repro.core.backend import PreparedSimulation, resolve_trace
 from repro.core.instrument import run_deadline
 from repro.core.results import SimulationResult
 from repro.errors import DeadlineExceededError, ServingError, WorkerCrashError
-from repro.lowering.lanes import DEFAULT_LANE_WIDTH
 from repro.rtl.spec import Specification
 from repro.serving.batch import RunRequest
 from repro.serving.tracing import Span
 
 #: Registered execution strategies, in cost order.
 EXECUTOR_NAMES = ("serial", "process")
+
+#: Default number of lanes per group when the caller does not choose one.
+#: Wide enough to amortise the per-group overhead (one plan, one result
+#: pass), narrow enough that heterogeneous batches still fill groups.
+DEFAULT_LANE_WIDTH = 16
 
 #: Input names kept for compatibility: each runs the serial strategy, at
 #: this lane width when the caller gave none (``None`` keeps the width).
@@ -433,8 +439,8 @@ def execute_lane_chunk(
             group_seconds = time.monotonic() - begin_mono
             seconds = (time.perf_counter() - begin) / lane_count
             # each lane's run span is a synthetic 1/N slice of the group:
-            # the whole group executed in one schedule walk, so per-lane
-            # time is attributed, not measured
+            # a generated lane kernel runs the whole group in one schedule
+            # walk, so per-lane time is attributed, not measured
             share = group_seconds / lane_count
             for slot, (i, outcome) in enumerate(
                     zip(lane_indices, lane_outcomes)):

@@ -10,8 +10,10 @@ Scheduling is delegated to an execution strategy
 (:mod:`repro.serving.executor`): ``serial`` runs inline on the caller's
 thread, and ``process`` ships the warm prepared simulation to worker
 processes once and scales with CPU cores.  ``lane_width`` turns on lane
-groups on either; ``chunk_size`` groups requests per scheduling unit to
-amortise IPC on the process strategy.
+groups on either: the compiled backend generates a lane kernel for
+statistics-free groups, and other backends and compiled statistics
+groups run each lane as its scalar run.  ``chunk_size`` groups requests
+per scheduling unit to amortise IPC on the process strategy.
 
 Every run executes on the pool's single warm
 :class:`~repro.core.backend.PreparedSimulation`, whatever the backend
@@ -115,9 +117,9 @@ class SimulationPool:
     ``"process"``; the aliases ``thread`` and ``lane`` resolve to
     serial, see :func:`~repro.serving.executor.resolve_executor`).
     ``lane_width`` bounds how many compatible requests ride one lane
-    group (see :mod:`repro.lowering.lanes`): ``None`` or 1 runs scalar,
+    group (see :mod:`repro.serving.executor`): ``None`` or 1 runs scalar,
     N >= 2 groups inline on serial and *inside* each worker on process,
-    composing vectorization with multi-core fan-out.  ``chunk_size``
+    composing compiled lane kernels with multi-core fan-out.  ``chunk_size``
     fixes how many requests travel per scheduling unit (default: one for
     scalar serial, the whole batch for serial lanes, about two chunks per
     worker for process).  ``mp_context`` picks the process strategy's

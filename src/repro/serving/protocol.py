@@ -54,7 +54,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.machines.library import get_machine, machine_names
-from repro.rtl.interchange import spec_from_json
+from repro.rtl.interchange import check_spec_limits, spec_from_json
 from repro.rtl.parser import parse_spec
 from repro.rtl.spec import Specification
 from repro.serving.batch import BatchResult, RunRequest
@@ -269,11 +269,13 @@ def resolve_spec(doc: Mapping) -> tuple[Specification, str, str]:
     machine from the registry; ``spec`` carries the machine itself —
     either specification source text in the paper's language (a JSON
     string) or an interchange-format document (a JSON object; see
-    ``docs/spec-format.md``).  Returns ``(spec, label, pool_key)``:
-    *label* is the display name, *pool_key* the stable identity the
-    server keys its pool registry on — the machine name for bundled
-    machines (no hashing on the warm path), a content fingerprint for
-    inline text or JSON (the two forms of the same machine share a pool).
+    ``docs/spec-format.md``); either passes the one spec gate,
+    :func:`~repro.rtl.interchange.check_spec_limits`.  Returns
+    ``(spec, label, pool_key)``: *label* is the display name, *pool_key*
+    the stable identity the server keys its pool registry on — the
+    machine name for bundled machines (no hashing on the warm path), a
+    content fingerprint for inline text or JSON (the two forms of the
+    same machine share a pool).
     """
     machine = doc.get("machine")
     source = doc.get("spec")
@@ -310,9 +312,10 @@ def resolve_spec(doc: Mapping) -> tuple[Specification, str, str]:
     _require_type(source, str, "'spec'")
     try:
         spec = parse_spec(source, source_name="<http>")
+        check_spec_limits(spec)
     except SpecificationError as exc:
         raise ProtocolError(
-            f"specification did not parse: {exc}",
+            f"specification rejected: {exc}",
             kind="invalid_specification",
         ) from exc
     return spec, "<inline spec>", f"spec:{spec_fingerprint(spec)}"

@@ -603,8 +603,9 @@ class SimulationServer(HttpEdge):
                 "supports_full_stats": backend.supports_full_stats,
                 "prepare_cache": getattr(backend, "cache", None) is not None,
                 # every built-in backend serves every executor strategy,
-                # lanes included: lane groups fall back to the generic lane
-                # evaluator when a backend has no generated lane entry point
+                # lanes included: compiled generates its lane kernel for
+                # stats-off groups, and every other group runs each lane
+                # as its scalar run
                 "executors": list(EXECUTOR_NAMES),
             })
         return 200, {"protocol": PROTOCOL_VERSION, "backends": backends}

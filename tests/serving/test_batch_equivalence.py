@@ -8,16 +8,23 @@ and the statistics all match a sequential run of the same prepared
 backend.  The
 sweep covers every configuration that reorganises execution: worker
 processes running the pool's warm prepared simulation shipped to them at
-pool startup, and lane groups running N variants through one walk of the
-dependency schedule (inline on the serial strategy, and inside process
-workers).
+pool startup, and lane groups (inline on the serial strategy, and inside
+process workers): on compiled, stats-off groups run N variants through
+one walk of the dependency schedule; every other group runs each lane as
+its scalar run.  A lane whose run raises, an I/O error included, fails
+that item alone.
 """
+
+from functools import partial
 
 import pytest
 
 from repro.core.comparison import compare_results
+from repro.core.iosystem import QueueIO
 from repro.core.simulator import BACKEND_NAMES, make_backend
+from repro.errors import InputExhaustedError, SimulationError
 from repro.machines.library import all_machines, get_machine
+from repro.rtl.parser import parse_spec
 from repro.serving import RunRequest, SimulationPool
 
 #: Every (strategy, lane width) that reorganises execution must preserve
@@ -151,16 +158,11 @@ def test_lane_inside_process_workers_stays_identical(backend_name):
     assert [observables(item.result) for item in batch.items] == sequential
 
 
-def test_compiled_stats_lanes_run_the_compiled_kernel(monkeypatch):
-    """Stats-on lane groups on the compiled backend run each lane on the
-    generated kernel, never the generic lane evaluator (patched to raise
-    here), so every lane — statistics included — is its scalar run."""
-    import repro.lowering.lanes as lanes
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the generic lane evaluator ran")
-
-    monkeypatch.setattr(lanes, "run_lanes", refuse)
+def test_compiled_stats_lanes_run_the_compiled_kernel():
+    """The generated lane kernel counts no statistics, so stats-on lane
+    groups on the compiled backend run each lane on the generated
+    ``simulate_instrumented`` kernel: every lane — statistics included —
+    is its scalar run."""
     spec = get_machine("gcd").build()
     runs = [
         RunRequest(cycles=16, inputs=(i, i + 1), trace=False)
@@ -180,6 +182,78 @@ def test_compiled_stats_lanes_run_the_compiled_kernel(monkeypatch):
     for reference, item in zip(sequential, batch.items):
         assert compare_results(reference, item.result,
                                compare_stats=True) == []
+
+
+#: Reads one input per cycle, so a strict queue of one value runs dry in
+#: the second cycle.
+IO_SPEC = "# io\ninport .\nM inport 1 0 2 2\n.\n"
+
+#: Three lanes with picklable strict I/O; only the middle one runs dry.
+IO_FACTORIES = tuple(
+    partial(QueueIO, inputs) for inputs in ([1, 2, 3], [1], [4, 5, 6])
+)
+
+
+def _lane_observables(result, error):
+    if error is not None:
+        return (type(error), error.cycle, str(error))
+    return observables(result)
+
+
+def _scalar_io_runs(prepared, collect_stats):
+    expected = []
+    for factory in IO_FACTORIES:
+        try:
+            result = prepared.run(cycles=3, io=factory(), trace=False,
+                                  collect_stats=collect_stats)
+        except SimulationError as exc:
+            expected.append(_lane_observables(None, exc))
+        else:
+            expected.append(_lane_observables(result, None))
+    # the middle lane's queue runs dry; its neighbours' never do
+    assert [entry[0] is InputExhaustedError for entry in expected] == [
+        False, True, False,
+    ]
+    return expected
+
+
+@pytest.mark.parametrize("collect_stats", [False, True])
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+def test_lane_io_error_fails_only_its_lane(backend_name, collect_stats):
+    """An I/O error in one lane is that lane's scalar error; its
+    neighbours complete as their scalar runs."""
+    prepared = make_backend(backend_name).prepare(parse_spec(IO_SPEC))
+    expected = _scalar_io_runs(prepared, collect_stats)
+    outcomes = prepared.run_lanes(
+        cycles=3, ios=[factory() for factory in IO_FACTORIES],
+        collect_stats=collect_stats,
+    )
+    assert [_lane_observables(outcome.result, outcome.error)
+            for outcome in outcomes] == expected
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("collect_stats", [False, True])
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+def test_pooled_lane_io_error_fails_only_its_item(backend_name,
+                                                  collect_stats, executor):
+    """The same through a pool: ``chunk_size=3`` puts the three requests
+    in one chunk, so they form one lane group on either strategy."""
+    spec = parse_spec(IO_SPEC)
+    expected = _scalar_io_runs(make_backend(backend_name).prepare(spec),
+                               collect_stats)
+    runs = [
+        RunRequest(cycles=3, trace=False, collect_stats=collect_stats,
+                   io_factory=factory)
+        for factory in IO_FACTORIES
+    ]
+    with SimulationPool(spec, backend=backend_name, executor=executor,
+                        max_workers=1, lane_width=4, chunk_size=3) as pool:
+        batch = pool.run_batch(runs)
+    assert all("lane_group" in {span.name for span in item.spans}
+               for item in batch.items)
+    assert [_lane_observables(item.result, item.error)
+            for item in batch.items] == expected
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)

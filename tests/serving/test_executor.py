@@ -16,7 +16,6 @@ from repro.compiler.compiled import CompiledBackend
 from repro.core.comparison import compare_results
 from repro.core.simulator import BACKEND_NAMES, make_backend
 from repro.errors import ServingError, SimulationError
-from repro.lowering.lanes import DEFAULT_LANE_WIDTH
 from repro.serving import (
     EXECUTOR_NAMES,
     BatchRequest,
@@ -24,7 +23,7 @@ from repro.serving import (
     SimulationPool,
     run_batch,
 )
-from repro.serving.executor import resolve_executor
+from repro.serving.executor import DEFAULT_LANE_WIDTH, resolve_executor
 from repro.serving.protocol import ConstantOverride
 
 

@@ -57,6 +57,24 @@ def app(request):
                    for snap in running.supervisor.describe())
 
 
+def oversized_text_spec(cap: str) -> str:
+    """Spec text one past a wire cap of ``rtl/interchange.py``."""
+    from repro.rtl.interchange import (
+        MAX_COMPONENTS,
+        MAX_SELECTOR_CASES,
+        MAX_TOTAL_MEMORY_CELLS,
+    )
+
+    if cap == "components":
+        names = [f"a{i}" for i in range(MAX_COMPONENTS + 1)]
+        return ("# many\n" + " ".join(names) + " .\n"
+                + "".join(f"A {name} 0 0 0\n" for name in names) + ".\n")
+    if cap == "memory cells":
+        return f"# big\nm .\nM m 0 0 0 {MAX_TOTAL_MEMORY_CELLS + 1}\n.\n"
+    return ("# wide\ns .\nS s 0" + " 0" * (MAX_SELECTOR_CASES + 1)
+            + "\n.\n")
+
+
 def get(server, path):
     try:
         with urllib.request.urlopen(server.url + path, timeout=30) as response:
@@ -114,9 +132,10 @@ class TestPlumbing:
         status, document = get(server, "/v1/backends")
         assert status == 200
         for row in document["backends"]:
-            # every backend serves both strategies (lanes included —
-            # backends without a generated lane entry point use the
-            # generic lane evaluator); aliases are input names only
+            # every backend serves both strategies, lanes included:
+            # compiled generates its lane kernel for stats-off groups, and
+            # every other group runs each lane as its scalar run; aliases
+            # are input names only
             assert row["executors"] == list(EXECUTOR_NAMES)
             assert row["executors"] == ["serial", "process"]
 
@@ -235,6 +254,19 @@ class TestEdge:
         assert not marker.exists()
         assert status == 400
         assert document["error"]["type"] == "invalid_spec"
+
+    @pytest.mark.parametrize("cap",
+                             ["components", "memory cells", "selector cases"])
+    def test_spec_text_over_a_cap_is_structured(self, app, cap):
+        # the JSON reader's caps hold for text too: one gate checks every
+        # inline spec, on the node and at the router's front door
+        status, document = post(app, "/v1/run", {
+            "spec": oversized_text_spec(cap), "backend": "interpreter",
+            "cycles": 1,
+        })
+        assert status == 400
+        assert document["error"]["type"] == "invalid_specification"
+        assert "at most" in document["error"]["message"]
 
     @pytest.mark.parametrize("control", ["\r", "\x00"])
     def test_spec_text_header_must_be_one_line(self, app, tmp_path,

@@ -8,8 +8,8 @@ pickle round trip on every backend, bit-identical with statistics and
 traces, and receiving it neither lowers the specification nor generates
 code.  The worker initializer binds exactly what it receives.  A pool
 ships its warm simulation and writes no files.  Spawned pools stay
-bit-identical for lane groups, for spec-level optimization's full kernel
-and for a third-party simulation class.
+bit-identical for lane groups, for ``override`` runs and for a
+third-party simulation class.
 """
 
 import os
@@ -37,9 +37,9 @@ from repro.serving.protocol import ConstantOverride
 #: fully traced runs stay quick
 CYCLE_CAP = 600
 
-#: spec-level optimization folds ``sel`` (a constant select over constant
-#: cases) away, so an ``override`` run executes the full kernel over the
-#: original schedule rather than the fast one
+#: ``sel`` is a constant select over constant cases, so only an
+#: ``override`` that pins it can change ``acc``: the spawned worker must
+#: honour the hook on a component whose value is otherwise fixed
 FOLDED_TABLE_SPEC = (
     "# folded table\nacc k sel .\nS sel 1 3 5 7\n"
     "A k 4 acc sel\nM acc 0 k 1 1\n.\n"
