@@ -204,9 +204,12 @@ echo "== spawn smoke (compiled sieve process pool, spawn start method) =="
 # spawn is the start method that pickles the pool's warm prepared
 # simulation into every worker (fork inherits it): a compiled sieve batch
 # on spawned workers must match a sequential run bit for bit, statistics
-# included — so the one transport to process workers cannot rot.  The
-# script is a file with a __main__ guard: a spawned worker re-imports
-# the main module, which it cannot do from stdin
+# included — so the one transport to process workers cannot rot.  A
+# spawned worker byte-compiles each generated entry point on its first
+# call of it, so the smoke also runs a stats-off lane group, whose
+# worker compiles simulate_lanes.  The script is a file with a __main__
+# guard: a spawned worker re-imports the main module, which it cannot do
+# from stdin
 SPAWN_SMOKE="$(mktemp --suffix=.py)"
 cat > "$SPAWN_SMOKE" <<'SPAWNSMOKE'
 from repro.core.comparison import compare_results
@@ -215,25 +218,37 @@ from repro.machines.library import get_machine
 from repro.serving import RunRequest, SimulationPool
 
 
+def spawned_batch(spec, runs, **pool_options):
+    with SimulationPool(spec, backend="compiled", executor="process",
+                        max_workers=2, mp_context="spawn",
+                        **pool_options) as pool:
+        batch = pool.run_batch(runs)
+    assert batch.ok, [str(item.error) for item in batch.failures]
+    return batch
+
+
 def main():
     machine = get_machine("stack-machine-sieve").build()
     spec = getattr(machine, "spec", machine)
     runs = [RunRequest(cycles=1200), RunRequest(cycles=600),
             RunRequest(cycles=1200, collect_stats=False)]
+    lane_runs = [RunRequest(cycles=600, collect_stats=False, trace=False)
+                 for _ in range(2)]
     prepared = make_backend("compiled").prepare(spec)
     sequential = [prepared.run(cycles=run.cycles, io=run.make_io(),
+                               trace=run.trace,
                                collect_stats=run.collect_stats)
-                  for run in runs]
-    with SimulationPool(spec, backend="compiled", executor="process",
-                        max_workers=2, chunk_size=1,
-                        mp_context="spawn") as pool:
-        batch = pool.run_batch(runs)
-    assert batch.ok, [str(item.error) for item in batch.failures]
-    for reference, item in zip(sequential, batch.items):
+                  for run in runs + lane_runs]
+    items = spawned_batch(spec, runs, chunk_size=1).items
+    lanes = spawned_batch(spec, lane_runs, chunk_size=2, lane_width=2).items
+    assert all(item.worker.startswith("pid-")
+               and "lane_group" in [span.name for span in item.spans]
+               for item in lanes)
+    for reference, item in zip(sequential, items + lanes):
         assert compare_results(reference, item.result, compare_trace=True,
                                compare_stats=True) == [], item.index
-    print(f"spawn smoke: {len(runs)} compiled sieve runs on spawned "
-          "workers bit-identical to sequential")
+    print(f"spawn smoke: {len(runs)} compiled sieve runs and a 2-lane "
+          "stats-off group on spawned workers bit-identical to sequential")
 
 
 if __name__ == "__main__":

@@ -29,32 +29,48 @@ backends do — ``cycle N: ALU 'a' computed function code C`` — from a
 handler around its cycle loop (per lane in ``simulate_lanes``), so the
 hot loop pays nothing for it.
 
-The module is byte-compiled one section at a time (the prologue with the
-constant tables, then each entry point) and the sections execute in
-order into one namespace: the compiler's working memory follows the
-largest section, which keeps a warm server's resident memory down.
-``source`` stays the one module text, and tracebacks carry its line
-numbers.
+A run calls one entry point, so only that one is byte-compiled, on first
+use.  ``prepare`` generates the whole module text but byte-compiles just
+its prologue (the imports and constant tables) and executes it into the
+module's one namespace.  The first call of an entry point compiles that
+entry's ``def`` at its own line offset in ``source`` and executes it
+against the same namespace; the function is then a plain attribute of the
+prepared simulation, so later runs pay no lookup.  ``source`` stays the
+one module text, and tracebacks carry its line numbers.
 
-The prepare cache (:mod:`repro.compiler.cache`, on by default) stores the
-lowered program; the generated source and byte-compiled code object are
-memoized on that program, so a repeated ``prepare`` of the same machine
-skips lowering and both generation phases — ``generate_seconds`` and
-``compile_seconds`` then report 0.0 and ``cache_hit`` is set.
+Both the module and each loaded entry point are memoized on the lowered
+program (``CycleProgram.artifact``), keyed by the code-generation options
+(and the entry point's name), so every prepared simulation of a cached
+program shares them, and concurrent first calls keep the first result
+stored (nothing compiles under a lock).  The prepare cache
+(:mod:`repro.compiler.cache`, on by default) stores that program, so a
+repeated ``prepare`` of the same machine skips lowering, generation and
+every compile already done — ``generate_seconds`` and ``compile_seconds``
+then report 0.0 and ``cache_hit`` is set.
+
+Accounting follows the paper's phases: a first-use compile is
+preparation, never simulation.  A prepared simulation's
+``compile_seconds`` and ``prepare_seconds`` grow by each entry-point
+compile its own runs trigger, and ``SimulationResult.run_seconds`` starts
+after the entry point is bound.  ``generate_seconds`` is paid in
+``prepare`` alone.
 
 A :class:`CompiledSimulation` pickles: it keeps its generated ``source``,
-and unpickling byte-compiles that source and loads the entry points with
-the same loader ``prepare`` uses — no lowering, no code generation.  That
-is how a process-pool worker started with ``spawn`` or ``forkserver``
-receives the pool's warm simulation (:mod:`repro.serving.executor`).
+and unpickling byte-compiles that source's prologue only — no lowering,
+no code generation, no entry point until the first call.  That is how a
+process-pool worker started with ``spawn`` or ``forkserver`` receives the
+pool's warm simulation (:mod:`repro.serving.executor`); a ``fork``ed
+worker inherits the entry points already loaded and compiles only the
+others it runs.
 """
 
 from __future__ import annotations
 
+import re
+import threading
 import time
 from pathlib import Path
-from types import CodeType
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.compiler.cache import PrepareCache, resolve_cache
 from repro.compiler.codegen_python import generate_program_python
@@ -75,16 +91,115 @@ from repro.errors import CompilationError
 from repro.lowering.program import CycleProgram, lower_cached
 from repro.rtl.spec import Specification
 
+#: The generated module's entry points; ``CompiledSimulation`` binds each
+#: as the attribute of the same name with a leading underscore.
+ENTRY_POINTS = ("simulate", "simulate_instrumented", "simulate_lanes")
+
+#: Guards the ``+=`` of first-use compile seconds: two threads may each
+#: load a different entry point of one prepared simulation at once.
+_ACCOUNTING_LOCK = threading.Lock()
+
+
+class GeneratedModule:
+    """One generated simulator module, byte-compiled a section at a time.
+
+    Building it byte-compiles the prologue (imports and constant tables)
+    and executes it into the module's one namespace; :meth:`load`
+    compiles one entry point's ``def`` and executes it against that
+    namespace.  Each section is compiled behind as many blank lines as
+    precede it in ``source``, so tracebacks carry the module's own line
+    numbers, and the compiler's working memory follows one section, not
+    the whole module.
+    """
+
+    def __init__(self, source: str, spec: Specification,
+                 generate_seconds: float = 0.0) -> None:
+        start = time.perf_counter()
+        #: the whole generated module text (the analogue of the .p file)
+        self.source = source
+        #: seconds the generator took to write ``source`` (0.0 when it was
+        #: shipped rather than generated here)
+        self.generate_seconds = generate_seconds
+        self._spec_name = spec.source_name
+        self._filename = f"<asim2 generated: {spec.source_name}>"
+        # entry point -> (first line, start, end) of its top-level ``def``:
+        # offsets into ``source``, so no second copy of the text is kept
+        self._sections: dict[str, tuple[int, int, int]] = {}
+        starts = [match.start() + 1 for match in re.finditer("\ndef ", source)]
+        for begin, end in zip(starts, starts[1:] + [len(source)]):
+            name = source[begin + len("def "):source.index("(", begin)]
+            self._sections[name] = (source.count("\n", 0, begin), begin, end)
+        #: the module's one namespace: the prologue's names, the globals of
+        #: every entry point
+        self.namespace: dict = {"__name__": "repro_generated_simulator"}
+        prologue_end = starts[0] if starts else len(source)
+        self._define((0, 0, prologue_end), self.namespace)
+        #: seconds spent byte-compiling and executing the prologue
+        self.compile_seconds = time.perf_counter() - start
+
+    def load(self, entry: str) -> tuple[Callable, float]:
+        """Byte-compile *entry* and define it against the module's
+        namespace; returns ``(function, seconds)``."""
+        start = time.perf_counter()
+        defined: dict = {}
+        self._define(self._sections[entry], defined)
+        return defined[entry], time.perf_counter() - start
+
+    def _define(self, section: tuple[int, int, int], names: dict) -> None:
+        """Compile *section* at its line offset and execute it with the
+        module namespace as globals and *names* as locals: a ``def`` binds
+        its function in *names*, and the function's globals stay the
+        module's."""
+        line, begin, end = section
+        try:
+            code = compile("\n" * line + self.source[begin:end],
+                           self._filename, "exec")
+        except SyntaxError as exc:  # pragma: no cover - generator bug guard
+            raise CompilationError(
+                f"generated code for {self._spec_name} failed to compile: "
+                f"{exc}"
+            ) from exc
+        try:
+            exec(code, self.namespace, names)  # noqa: S102 - our own code
+        except Exception as exc:  # pragma: no cover - generator bug guard
+            raise CompilationError(
+                f"generated code for {self._spec_name} failed to load: {exc}"
+            ) from exc
+
+
+class _EntryPoint:
+    """A generated entry point as an attribute of a compiled simulation.
+
+    The first read byte-compiles the entry point (``_load``) and stores
+    the function in the instance, where it shadows this non-data
+    descriptor: every later read is a plain attribute read.
+    """
+
+    def __set_name__(self, owner: type, attribute: str) -> None:
+        self.attribute = attribute
+
+    def __get__(self, prepared, owner: type | None = None):
+        if prepared is None:
+            return self
+        function = prepared._load(self.attribute[1:])
+        prepared.__dict__[self.attribute] = function
+        return function
+
 
 class CompiledSimulation(PreparedSimulation):
     """A lowered program compiled into executable ``simulate`` functions."""
+
+    # the generated module's entry points, each byte-compiled on first use
+    _simulate = _EntryPoint()
+    _simulate_instrumented = _EntryPoint()
+    _simulate_lanes = _EntryPoint()
 
     def __init__(
         self,
         spec: Specification,
         program: CycleProgram,
-        source: str,
-        code: tuple[CodeType, ...],
+        options: CodegenOptions,
+        module: GeneratedModule,
         generate_seconds: float,
         compile_seconds: float,
         cache_hit: bool = False,
@@ -96,46 +211,49 @@ class CompiledSimulation(PreparedSimulation):
         )
         #: the shared lowered program (cache-backed, backend-neutral)
         self.program = program
+        #: the code-generation options the module was generated with
+        self.options = options
         #: generated Python module source (the analogue of the .p file)
-        self.source = source
+        self.source = module.source
         #: seconds spent generating source (paper: "Generate code");
         #: 0.0 when the prepare cache supplied the artifact
         self.generate_seconds = generate_seconds
-        #: seconds spent byte-compiling it (paper: "Pascal Compile");
-        #: 0.0 when the prepare cache supplied the artifact
+        #: seconds spent byte-compiling it (paper: "Pascal Compile"): the
+        #: prologue, plus each entry point this simulation's runs compiled
+        #: on first use; 0.0 when the prepare cache supplied all of it
         self.compile_seconds = compile_seconds
         #: whether program + generated module came out of the prepare cache
         self.cache_hit = cache_hit
-        self._load(code)
+        self._module = module
 
-    def _load(self, code: tuple[CodeType, ...]) -> None:
-        """Execute the generated module's sections, in order, into one
-        namespace and bind its entry points."""
-        namespace: dict = {"__name__": "repro_generated_simulator"}
-        try:
-            for section in code:
-                exec(section, namespace)  # noqa: S102 - our own generated code
-            self._simulate = namespace["simulate"]
-            self._simulate_instrumented = namespace["simulate_instrumented"]
-            self._simulate_lanes = namespace["simulate_lanes"]
-        except Exception as exc:  # pragma: no cover - generator bug guard
-            raise CompilationError(
-                f"generated code for {self.spec.source_name} failed to "
-                f"load: {exc}"
-            ) from exc
+    def _load(self, entry: str) -> Callable:
+        """The generated *entry* point, memoized on the program, so the
+        first prepared simulation to call it compiles it and every other
+        one reuses it; a compile paid here counts as this simulation's
+        preparation."""
+        module = self._module
+        (function, seconds), hit = self.program.artifact(
+            ("compiled", self.options, entry), lambda: module.load(entry))
+        if not hit:
+            with _ACCOUNTING_LOCK:
+                self.compile_seconds += seconds
+                self.prepare_seconds += seconds
+        return function
 
     def __getstate__(self) -> dict:
-        # the entry points are functions of an exec'd module: they do not
-        # pickle, and the source rebuilds them on the other side
+        # the module namespace and its functions do not pickle; the source
+        # rebuilds the module on the other side
         state = dict(self.__dict__)
-        for name in ("_simulate", "_simulate_instrumented",
-                     "_simulate_lanes"):
-            del state[name]
+        del state["_module"]
+        for entry in ENTRY_POINTS:
+            state.pop("_" + entry, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._load(_byte_compile(self.source, self.spec))
+        self._module, _ = self.program.artifact(
+            ("compiled", self.options),
+            lambda: GeneratedModule(self.source, self.spec))
 
     def write_source(self, path: str | Path) -> Path:
         """Write the generated module to disk (like the paper's ``simulator.p``)."""
@@ -153,21 +271,24 @@ class CompiledSimulation(PreparedSimulation):
     ) -> SimulationResult:
         plan = plan_run(self.program, cycles, io, trace, collect_stats,
                         override)
-        start = time.perf_counter()
+        # bound before the clock starts: a first use's compile is
+        # preparation, never run time
         if plan.inst is None:
+            simulate = self._simulate
+            start = time.perf_counter()
             try:
-                raw = self._simulate(plan.cycle_count, plan.io_system,
-                                     None, None)
+                raw = simulate(plan.cycle_count, plan.io_system, None, None)
             except (ZeroDivisionError, IndexError, KeyError) as exc:
                 raise CompilationError(
                     f"generated simulator for {self.spec.source_name} "
                     f"failed: {exc!r}"
                 ) from exc
         else:
+            simulate = self._simulate_instrumented
+            start = time.perf_counter()
             # instrumented paths run user hooks (override), whose exceptions
             # must propagate unwrapped, exactly as on the other backends
-            raw = self._simulate_instrumented(plan.cycle_count,
-                                              plan.io_system, plan.inst)
+            raw = simulate(plan.cycle_count, plan.io_system, plan.inst)
         run_seconds = time.perf_counter() - start
 
         plan.finish()
@@ -203,9 +324,10 @@ class CompiledSimulation(PreparedSimulation):
         if not ios:
             return []
         cycle_count = resolve_cycles(self.spec, cycles)
+        simulate_lanes = self._simulate_lanes
         start = time.perf_counter()
         try:
-            raw = self._simulate_lanes(cycle_count, ios)
+            raw = simulate_lanes(cycle_count, ios)
         except (ZeroDivisionError, IndexError, KeyError) as exc:
             raise CompilationError(
                 f"generated lane simulator for {self.spec.source_name} "
@@ -244,46 +366,14 @@ class CompiledSimulation(PreparedSimulation):
         return outcomes
 
 
-def _byte_compile(source: str, spec: Specification) -> tuple[CodeType, ...]:
-    """The paper's "Pascal compile" phase: generated source -> code.
-
-    The module compiles one section at a time — the prologue with the
-    constant tables, then each top-level ``def`` (one per entry point) —
-    so the compiler's working memory follows the largest section rather
-    than the whole module, and a warm process keeps less of it.  Each
-    section is compiled behind as many blank lines as precede it in
-    *source*, so tracebacks carry the module's own line numbers.
-    """
-    module_name = f"<asim2 generated: {spec.source_name}>"
-    lines = source.splitlines(keepends=True)
-    starts = [0] + [
-        number for number, line in enumerate(lines)
-        if number and line.startswith("def ")
-    ]
-    try:
-        return tuple(
-            compile("\n" * start + "".join(lines[start:end]), module_name,
-                    "exec")
-            for start, end in zip(starts, starts[1:] + [len(lines)])
-        )
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise CompilationError(
-            f"generated code for {spec.source_name} failed to compile: {exc}"
-        ) from exc
-
-
-def _generate_and_compile(
-    program: CycleProgram, options: CodegenOptions
-) -> tuple[str, tuple[CodeType, ...], float, float]:
-    """The paper's two timed preparation phases over a lowered program."""
-    generate_start = time.perf_counter()
+def _generate(program: CycleProgram,
+              options: CodegenOptions) -> GeneratedModule:
+    """The paper's two timed preparation phases over a lowered program:
+    generate the whole module, then byte-compile its prologue."""
+    start = time.perf_counter()
     source = generate_program_python(program, options)
-    generate_seconds = time.perf_counter() - generate_start
-
-    compile_start = time.perf_counter()
-    code = _byte_compile(source, program.spec)
-    compile_seconds = time.perf_counter() - compile_start
-    return source, code, generate_seconds, compile_seconds
+    return GeneratedModule(source, program.spec,
+                           generate_seconds=time.perf_counter() - start)
 
 
 class CompiledBackend(Backend):
@@ -301,21 +391,18 @@ class CompiledBackend(Backend):
 
     def prepare(self, spec: Specification) -> CompiledSimulation:
         program, program_hit = lower_cached(spec, self.cache)
-        artifact, artifact_hit = program.artifact(
+        module, module_hit = program.artifact(
             ("compiled", self.options),
-            lambda: _generate_and_compile(program, self.options),
+            lambda: _generate(program, self.options),
         )
-        source, code, generate_seconds, compile_seconds = artifact
-        hit = program_hit and artifact_hit
-        if hit:
-            generate_seconds = compile_seconds = 0.0
+        hit = program_hit and module_hit
         return CompiledSimulation(
             spec=spec,
             program=program,
-            source=source,
-            code=code,
-            generate_seconds=generate_seconds,
-            compile_seconds=compile_seconds,
+            options=self.options,
+            module=module,
+            generate_seconds=0.0 if hit else module.generate_seconds,
+            compile_seconds=0.0 if hit else module.compile_seconds,
             cache_hit=hit,
         )
 

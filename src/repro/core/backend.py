@@ -176,11 +176,15 @@ class Backend(ABC):
         """Build whatever the backend needs to simulate *spec*.
 
         This is the paper's preparation phase, and its cost ranks exactly
-        as Figure 5.1 does: trivial for the interpreter (sort the tables,
-        ~0.5 ms on the Fig 5.1 sieve), cheap for the threaded backend
-        (closure compilation, ~2 ms), expensive for the compiled backend
-        (generate + byte-compile a module, ~8 ms).  The threaded and
-        compiled backends consult the prepare cache
+        as Figure 5.1 does: cheap for the interpreter (lower the tables,
+        ~1.8 ms on the Fig 5.1 sieve) and for the threaded backend
+        (lower, then compile closures, ~2 ms), expensive for the compiled
+        backend (lower, generate a module and byte-compile its prologue,
+        ~11 ms; each entry point then byte-compiles on the first run that
+        calls it, ~6-9 ms more, and that too is preparation: it adds to
+        the prepared simulation's ``prepare_seconds``, never to a
+        result's ``run_seconds``).  The threaded and compiled backends
+        consult the prepare cache
         (:mod:`repro.compiler.cache`, on by default), which stores the
         shared lowered program (:mod:`repro.lowering`) keyed on a stable
         content hash of the specification; backend-private

@@ -1,8 +1,21 @@
 """Unit tests for the compiled backend (prepare / run / timing split)."""
 
+import pickle
+import sys
+import threading
+import time
+from types import SimpleNamespace
+
 import pytest
 
-from repro.compiler.compiled import CompiledBackend, compile_spec
+from repro.compiler import compiled
+from repro.compiler.cache import PrepareCache
+from repro.compiler.compiled import (
+    ENTRY_POINTS,
+    CompiledBackend,
+    GeneratedModule,
+    compile_spec,
+)
 from repro.compiler.optimizer import CodegenOptions
 from repro.core.iosystem import QueueIO
 from repro.core.trace import TraceOptions
@@ -227,13 +240,10 @@ def pin_wrapped(name, value, cycle):
 
 class TestPickling:
     """A prepared simulation pickles: its generated source travels, and
-    unpickling only byte-compiles it — how a process-pool worker started
-    with ``spawn`` receives the pool's warm simulation."""
+    unpickling only byte-compiles its prologue — how a process-pool worker
+    started with ``spawn`` receives the pool's warm simulation."""
 
     def test_round_trip_only_byte_compiles(self, counter_spec, monkeypatch):
-        import pickle
-
-        from repro.compiler import compiled
         from repro.core.comparison import compare_results
 
         warm = CompiledBackend(cache=False).prepare(counter_spec)
@@ -265,3 +275,197 @@ class TestPickling:
         assert len(lanes) == 2
         for reference, candidate in lanes:
             assert compare_results(reference, candidate) == []
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The entry points byte-compiled from here on, in order."""
+    loaded = []
+    real = GeneratedModule.load
+
+    def spy(self, entry):
+        loaded.append(entry)
+        return real(self, entry)
+
+    monkeypatch.setattr(GeneratedModule, "load", spy)
+    return loaded
+
+
+def bound(prepared) -> set[str]:
+    """The entry points *prepared* has bound as plain attributes."""
+    return {entry for entry in ENTRY_POINTS if "_" + entry in vars(prepared)}
+
+
+class TestFirstUse:
+    """``prepare`` byte-compiles the module's prologue only; each entry
+    point compiles on the first call that needs it, once per program."""
+
+    def test_fresh_prepare_loads_no_entry_point(self, counter_spec, loads):
+        prepared = CompiledBackend(cache=False).prepare(counter_spec)
+        assert loads == []
+        assert bound(prepared) == set()
+
+    @pytest.mark.parametrize("options, entry", [
+        ({}, "simulate_instrumented"),
+        ({"collect_stats": False, "trace": False}, "simulate"),
+        ({"override": lambda name, value, cycle: value},
+         "simulate_instrumented"),
+    ], ids=["default", "fast", "override"])
+    def test_a_run_loads_exactly_its_entry_point(self, counter_spec, loads,
+                                                 options, entry):
+        prepared = CompiledBackend(cache=False).prepare(counter_spec)
+        prepared.run(cycles=6, **options)
+        prepared.run(cycles=6, **options)
+        assert loads == [entry]
+        assert bound(prepared) == {entry}
+
+    def test_a_stats_off_lane_group_loads_exactly_the_lane_kernel(
+        self, counter_spec, loads
+    ):
+        prepared = CompiledBackend(cache=False).prepare(counter_spec)
+        for _ in range(2):
+            prepared.run_lanes(cycles=6, ios=[QueueIO(), QueueIO()],
+                               collect_stats=False)
+        assert loads == ["simulate_lanes"]
+        assert bound(prepared) == {"simulate_lanes"}
+
+    def test_a_cache_hit_reuses_loaded_entries_and_reports_no_time(
+        self, counter_spec, loads
+    ):
+        cache = PrepareCache()
+        first = CompiledBackend(cache=cache).prepare(counter_spec)
+        first.run(cycles=6)
+        second = CompiledBackend(cache=cache).prepare(counter_spec)
+        result = second.run(cycles=6)
+        assert second.cache_hit
+        assert loads == ["simulate_instrumented"]
+        assert (second._simulate_instrumented
+                is first._simulate_instrumented)
+        assert second.generate_seconds == 0.0
+        assert second.compile_seconds == 0.0
+        assert second.prepare_seconds == 0.0
+        assert result.prepare_seconds == 0.0
+
+    def test_a_pickle_round_trip_loads_none_until_its_first_run(
+        self, counter_spec, loads
+    ):
+        warm = CompiledBackend(cache=False).prepare(counter_spec)
+        warm.run(cycles=6)
+        del loads[:]
+        shipped = pickle.loads(pickle.dumps(warm))
+        assert loads == []
+        assert bound(shipped) == set()
+        shipped.run(cycles=6, collect_stats=False, trace=False)
+        assert loads == ["simulate"]
+
+    @pytest.mark.parametrize("path", ["stats", "fast", "lanes"])
+    def test_a_first_use_compile_is_preparation_not_run_time(
+        self, counter_spec, monkeypatch, path
+    ):
+        # a clock that stands still except while an entry point loads,
+        # which takes 100 s of it: run_seconds must read none of that
+        prepared = CompiledBackend(cache=False).prepare(counter_spec)
+        compile_seconds = prepared.compile_seconds
+        prepare_seconds = prepared.prepare_seconds
+        clock = [0.0]
+        real = GeneratedModule.load
+
+        def slow_load(self, entry):
+            function, _ = real(self, entry)
+            clock[0] += 100.0
+            return function, 100.0
+
+        monkeypatch.setattr(compiled, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(GeneratedModule, "load", slow_load)
+        if path == "lanes":
+            [outcome] = prepared.run_lanes(cycles=6, ios=[QueueIO()],
+                                           collect_stats=False)
+            result = outcome.result
+        else:
+            result = prepared.run(cycles=6, trace=False,
+                                  collect_stats=path == "stats")
+        assert result.run_seconds == 0.0
+        assert prepared.compile_seconds == compile_seconds + 100.0
+        assert prepared.prepare_seconds == prepare_seconds + 100.0
+        assert result.prepare_seconds == prepared.prepare_seconds
+        assert prepared.generate_seconds + prepared.compile_seconds == (
+            pytest.approx(prepared.prepare_seconds))
+
+
+class TestFirstUseUnderConcurrency:
+    """Eight threads make the first calls of one fresh simulation at once,
+    across all three entry points: every result is the warm one, and each
+    entry point is bound — and accounted — once."""
+
+    PATHS = ("stats", "fast", "lanes")
+
+    @staticmethod
+    def _run(prepared, path):
+        if path == "lanes":
+            return [outcome.result for outcome in prepared.run_lanes(
+                cycles=12, ios=[QueueIO(), QueueIO()], collect_stats=False)]
+        if path == "stats":
+            return [prepared.run(cycles=12, trace=True)]
+        return [prepared.run(cycles=12, trace=False, collect_stats=False)]
+
+    def test_eight_threads_first_call_at_once(self, counter_spec,
+                                              monkeypatch):
+        from repro.core.comparison import compare_results
+
+        warm = CompiledBackend(cache=False).prepare(counter_spec)
+        expected = {path: self._run(warm, path) for path in self.PATHS}
+
+        fresh = CompiledBackend(cache=False).prepare(counter_spec)
+        compile_seconds = fresh.compile_seconds
+        real = GeneratedModule.load
+
+        def slow_load(self, entry):
+            function, _ = real(self, entry)
+            time.sleep(0.01)  # let the other first callers pile up
+            return function, 1.0
+
+        monkeypatch.setattr(GeneratedModule, "load", slow_load)
+        start = threading.Barrier(8)
+        results: dict[int, tuple[str, list]] = {}
+        failures: list[Exception] = []
+
+        def call(index):
+            path = self.PATHS[index % len(self.PATHS)]
+            try:
+                start.wait(timeout=30)
+                results[index] = (path, self._run(fresh, path))
+            except Exception as exc:  # surfaced by the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=call, args=(index,))
+                   for index in range(8)]
+        # switch threads often, so a lost update of the accounting shows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(results) == 8
+        for path, got in results.values():
+            assert len(got) == len(expected[path])
+            for reference, candidate in zip(expected[path], got):
+                assert compare_results(reference, candidate,
+                                       compare_trace=True,
+                                       compare_stats=True) == [], path
+        # one function per entry point: the one memoized on the program,
+        # and one compile's worth of seconds each
+        assert bound(fresh) == set(ENTRY_POINTS)
+        for entry in ENTRY_POINTS:
+            memoized, hit = fresh.program.artifact(
+                ("compiled", fresh.options, entry), pytest.fail)
+            assert hit
+            assert getattr(fresh, "_" + entry) is memoized[0]
+        assert fresh.compile_seconds == compile_seconds + 3.0

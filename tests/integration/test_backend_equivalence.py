@@ -453,3 +453,19 @@ class TestRunTimeErrorParity:
         cycle = int(message.split(":")[0].split()[1])
         assert errors == [("InvalidAluFunctionError", cycle, message)] * len(
             errors)
+
+    @pytest.mark.parametrize("path", ["stats", "fast", "lanes", "lanes+stats"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_first_call_of_a_fresh_compiled_simulation(self, case, path):
+        # the call that raises is the one that byte-compiles its entry
+        # point: it must name the error as the interpreter does, and so
+        # must the next call, on the entry point now bound
+        from repro.compiler.compiled import CompiledBackend
+        from repro.interp.interpreter import InterpreterBackend
+        from repro.rtl.parser import parse_spec
+
+        spec = parse_spec(self.CASES[case][0])
+        reference = self._errors(InterpreterBackend().prepare(spec), path)
+        fresh = CompiledBackend(cache=False).prepare(spec)
+        assert self._errors(fresh, path) == reference
+        assert self._errors(fresh, path) == reference
