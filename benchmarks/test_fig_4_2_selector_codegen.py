@@ -35,6 +35,8 @@ def test_fig_4_2_python_code_generation(benchmark, spec):
     source = benchmark(generate_python, spec)
     assert "if _i == 0:" in source
     assert "v_selector = t_value0" in source
+    # one test per distinct arm, the last behind the case count
+    assert "elif _i < 4:" in source
     assert "selector_case_error('selector', _i, 4, cyclecount)" in source
 
 

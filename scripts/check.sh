@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== compileall =="
+echo "== compileall (and the package metadata pip install -e . reads) =="
 python -m compileall -q src
+name="$(python setup.py --name)"
+test "$name" = repro || { echo "setup.py names '$name', not repro"; exit 1; }
 
 echo "== docs gate =="
 python scripts/check_docs.py
@@ -269,8 +271,19 @@ echo "== differential fuzz smoke (fixed seed, full backend x executor matrix) ==
 # every backend x executor configuration (serial, serial with lanes,
 # process) demanding bit-identical results — so neither the
 # interchange format nor backend equivalence on machines nobody wrote
-# can silently rot between full fuzz sessions
-python -m repro fuzz --seed 7 --count 20
+# can silently rot between full fuzz sessions.  A seeded share of the
+# machines is built to fault at run time, and at least one of the twenty
+# must raise in the reference, so the comparison of how a machine breaks
+# (type, cycle and message, on every configuration) is reached too
+fuzz_report="$(python -m repro fuzz --seed 7 --count 20)" \
+    || { echo "$fuzz_report"; exit 1; }
+echo "$fuzz_report"
+python - "$fuzz_report" <<'FUZZSMOKE'
+import re, sys
+
+raised = re.search(r"(\d+) raised in the reference", sys.argv[1])
+assert raised and int(raised.group(1)) > 0, sys.argv[1]
+FUZZSMOKE
 
 echo "== perfbench correctness smoke (all four workloads) =="
 # every benchmark workload checks every op: fig51-fast, sieve-stats and

@@ -24,7 +24,10 @@ the paper's generated main program:
 The optimizations of Section 4.4 are applied according to
 :class:`~repro.compiler.optimizer.CodegenOptions`: constant ALU functions
 are inlined (Figure 4.1) and constant memory operations drop the operation
-dispatch (Figure 4.3).
+dispatch (Figure 4.3).  Whatever the options, a selector dispatches once
+per distinct arm (Figure 4.2's ``case`` statement), and a memory whose
+constant address lies inside its cells goes without an address latch
+and a bounds check.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ from repro.compiler.optimizer import (
     memory_may_trace_reads,
     memory_may_trace_writes,
     selector_constant_cases,
+    static_memory_address,
 )
 from repro.core.instrument import DEADLINE_CHECK_CYCLES
 from repro.errors import CompilationError
 from repro.rtl.alu_ops import FUNCTION_COUNT, function_info
+from repro.rtl.bits import WORD_MASK
 from repro.rtl.components import Alu, Memory, Selector
 from repro.rtl.dependency import sort_combinational
 from repro.rtl.memory_ops import should_trace_read, should_trace_write
@@ -171,32 +176,55 @@ class PythonCodeGenerator:
         funct = self._expr(alu.funct)
         writer.line(f"v_{alu.name} = dologic({funct}, {left}, {right})")
 
-    def _emit_selector(self, writer: CodeWriter, selector: Selector) -> None:
-        index = self._expr(selector.select)
+    def _emit_selector(self, writer: CodeWriter, selector: Selector) -> str:
+        """Emit one selector as a dispatch on its index (Figure 4.2).
+
+        Each distinct arm expression gets one test: ``==`` for an arm
+        one index selects, a constant set for an arm several select.  The
+        arm the most indices select goes last, behind ``index < count``,
+        so an index past the case list still reaches
+        ``selector_case_error``.  A select expression that is a plain
+        local is tested directly; any other is computed once into ``_i``.
+        Returns the variable holding the index.
+        """
+        name = selector.name
         count = selector.case_count
+        index = self._expr(selector.select)
+        if not index.isidentifier():
+            writer.line(f"_i = {index}")
+            index = "_i"
+        error = f"selector_case_error({name!r}, {index}, {count}, cyclecount)"
         constant_cases = (
             selector_constant_cases(selector)
             if self.options.fold_constant_selectors
             else None
         )
-        writer.line(f"_i = {index}")
         if constant_cases is not None:
             if self.options.emit_bounds_checks:
-                with writer.block(f"if _i >= {count}:"):
-                    writer.line(
-                        f"selector_case_error({selector.name!r}, _i, {count}, "
-                        "cyclecount)"
-                    )
-            writer.line(f"v_{selector.name} = _SEL_{selector.name}[_i]")
-            return
+                with writer.block(f"if {index} >= {count}:"):
+                    writer.line(error)
+            writer.line(f"v_{name} = _SEL_{name}[{index}]")
+            return index
+        arms: dict[str, list[int]] = {}
         for case_index, case in enumerate(selector.cases):
-            keyword = "if" if case_index == 0 else "elif"
-            with writer.block(f"{keyword} _i == {case_index}:"):
-                writer.line(f"v_{selector.name} = {self._expr(case)}")
+            arms.setdefault(self._expr(case), []).append(case_index)
+        # of equally wide arms the later goes last, so distinct arms keep
+        # the case order of the paper's case statement
+        widest = max(reversed(arms), key=lambda arm: len(arms[arm]))
+        keyword = "if"
+        for arm, indices in arms.items():
+            if arm == widest:
+                continue
+            test = (f"== {indices[0]}" if len(indices) == 1
+                    else f"in {{{', '.join(map(str, indices))}}}")
+            with writer.block(f"{keyword} {index} {test}:"):
+                writer.line(f"v_{name} = {arm}")
+            keyword = "elif"
+        with writer.block(f"{keyword} {index} < {count}:"):
+            writer.line(f"v_{name} = {widest}")
         with writer.block("else:"):
-            writer.line(
-                f"selector_case_error({selector.name!r}, _i, {count}, cyclecount)"
-            )
+            writer.line(error)
+        return index
 
     def _emit_alu_error_search(self, writer: CodeWriter) -> None:
         """Rebind ``_exc`` to the other backends' error for the ALU whose
@@ -258,14 +286,23 @@ class PythonCodeGenerator:
         writer.comment("latch memory address/data/operation before any update")
         for memory in self._memories:
             constant = self._constant_operation(memory)
-            writer.line(f"a_{memory.name} = {self._expr(memory.address)}")
+            if static_memory_address(memory) is None:
+                writer.line(f"a_{memory.name} = {self._expr(memory.address)}")
             if constant is None or (constant & 3) in (1, 3):
                 writer.line(f"d_{memory.name} = {self._expr(memory.data)}")
             if constant is None:
                 writer.line(f"o_{memory.name} = {self._expr(memory.operation)}")
 
+    @staticmethod
+    def _address(memory: Memory) -> str:
+        """The address a memory's port uses this cycle: its constant when
+        that lies inside the memory, else the latched ``a_<name>``."""
+        static = static_memory_address(memory)
+        return f"a_{memory.name}" if static is None else str(static)
+
     def _bounds_check(self, writer: CodeWriter, memory: Memory) -> None:
-        if not self.options.emit_bounds_checks:
+        if (not self.options.emit_bounds_checks
+                or static_memory_address(memory) is not None):
             return
         with writer.block(f"if a_{memory.name} >= {memory.size}:"):
             writer.line(
@@ -278,19 +315,21 @@ class PythonCodeGenerator:
     ) -> None:
         """Emit the body for one specific memory operation code."""
         name = memory.name
+        address = self._address(memory)
         op = operation & 3
         if op == 0:
             self._bounds_check(writer, memory)
-            writer.line(f"t_{name} = m_{name}[a_{name}]")
+            writer.line(f"t_{name} = m_{name}[{address}]")
         elif op == 1:
             self._bounds_check(writer, memory)
             writer.line(f"t_{name} = d_{name}")
-            writer.line(f"m_{name}[a_{name}] = d_{name}")
+            writer.line(f"m_{name}[{address}] = d_{name}")
         elif op == 2:
-            writer.line(f"t_{name} = io.read(a_{name}, cycle=cyclecount)")
+            writer.line(
+                f"t_{name} = io.read({address}, cycle=cyclecount) & {WORD_MASK}")
         else:
             writer.line(f"t_{name} = d_{name}")
-            writer.line(f"io.write(a_{name}, d_{name}, cycle=cyclecount)")
+            writer.line(f"io.write({address}, d_{name}, cycle=cyclecount)")
 
     def _emit_access_trace(
         self, writer: CodeWriter, memory: Memory, constant: int | None,
@@ -298,31 +337,32 @@ class PythonCodeGenerator:
     ) -> None:
         """Emit the "Read from"/"Write to" records, behind run flag *flag*."""
         name = memory.name
+        address = self._address(memory)
         if constant is not None:
             if should_trace_write(constant):
                 with writer.block(f"if {flag}:"):
                     writer.line(
                         f"trace_log.record_access(cyclecount, {name!r}, 'write', "
-                        f"a_{name}, t_{name})"
+                        f"{address}, t_{name})"
                     )
             if should_trace_read(constant):
                 with writer.block(f"if {flag}:"):
                     writer.line(
                         f"trace_log.record_access(cyclecount, {name!r}, 'read', "
-                        f"a_{name}, t_{name})"
+                        f"{address}, t_{name})"
                     )
             return
         if memory_may_trace_writes(memory):
             with writer.block(f"if {flag} and (o_{name} & 5) == 5:"):
                 writer.line(
                     f"trace_log.record_access(cyclecount, {name!r}, 'write', "
-                    f"a_{name}, t_{name})"
+                    f"{address}, t_{name})"
                 )
         if memory_may_trace_reads(memory):
             with writer.block(f"if {flag} and (o_{name} & 9) == 8:"):
                 writer.line(
                     f"trace_log.record_access(cyclecount, {name!r}, 'read', "
-                    f"a_{name}, t_{name})"
+                    f"{address}, t_{name})"
                 )
 
     def _constant_operation(self, memory: Memory) -> int | None:
@@ -514,11 +554,11 @@ class PythonCodeGenerator:
                             funct = self._expr(component.funct)
                             writer.line(f"_fc[{funct}] += 1")
                     else:
-                        self._emit_selector(writer, component)
+                        index = self._emit_selector(writer, component)
                         slot = slots[component.name]
                         if slot not in bumped:
                             bumped.add(slot)
-                            writer.line(f"_sc{slot}[_i] += 1")
+                            writer.line(f"_sc{slot}[{index}] += 1")
                     self._emit_override(writer, "v_", component.name)
                 self._emit_instrumented_cycle_trace(writer)
                 self._emit_memory_requests(writer)
@@ -541,7 +581,8 @@ class PythonCodeGenerator:
     def _emit_override(writer: CodeWriter, prefix: str, name: str) -> None:
         variable = prefix + name
         with writer.block("if ov is not None:"):
-            writer.line(f"{variable} = ov({name!r}, {variable}, cyclecount)")
+            writer.line(
+                f"{variable} = ov({name!r}, {variable}, cyclecount) & {WORD_MASK}")
 
     def _emit_instrumented_cycle_trace(self, writer: CodeWriter) -> None:
         """Hand every component value to the instrumentation layer, which

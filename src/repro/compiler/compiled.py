@@ -16,7 +16,7 @@ statement emitters (the paper's Section 4.4 specialisations included):
   counters folded in once per run, traces behind per-run flags, a deadline
   check every :data:`~repro.core.instrument.DEADLINE_CHECK_CYCLES` cycles
   and the user's ``override`` as the one per-component call into Python;
-  it records exactly what the other backends' hooks record, at ~1.4x the
+  it records exactly what the other backends' hooks record, at ~1.5x the
   fast path's time on the Figure 5.1 sieve (a hook per component per
   cycle cost ~17x);
 * ``simulate_lanes`` — the lane fast path (N uninstrumented runs per walk

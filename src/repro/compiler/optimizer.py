@@ -9,6 +9,16 @@ structure is eliminated and only the appropriate action is performed."
 This module holds the knobs controlling those optimizations (so the
 ablation benchmark can switch them off) and the small analyses deciding
 when each applies.
+
+Two more specialisations need no knob, because they only drop work that
+cannot matter.  A selector dispatches on its index the way the paper's
+Figure 4.2 ``case`` statement does, one test per *distinct* arm rather
+than one per case index, with the widest arm last behind the case-count
+check (:mod:`repro.compiler.codegen_python`).  And a memory whose
+address is a constant inside its cells (:func:`static_memory_address`:
+every one-cell register at address 0) uses that address directly, with
+no address latch and no bounds check; a constant address outside the
+cells keeps both, so the run fails where the interpreter's does.
 """
 
 from __future__ import annotations
@@ -76,6 +86,19 @@ def constant_memory_operation(memory: Memory) -> int | None:
     if not memory.operation.is_constant:
         return None
     return memory.operation.constant_value()
+
+
+def static_memory_address(memory: Memory) -> int | None:
+    """The memory's address if it is a constant inside its cell range.
+
+    Such a port needs neither an address latch nor a bounds check; a
+    constant address outside the range keeps both, so the run still fails
+    at the cycle the memory is first read or written.
+    """
+    if not memory.address.is_constant:
+        return None
+    address = memory.address.constant_value()
+    return address if address < memory.size else None
 
 
 def selector_constant_cases(selector: Selector) -> list[int] | None:

@@ -8,7 +8,9 @@ the same points of the cycle:
 
 * after each ALU / selector evaluates (:meth:`Instrumentation.alu`,
   :meth:`Instrumentation.selector`) — records the function code / case
-  index and applies the override to the value about to be stored;
+  index and applies the override to the value about to be stored (what
+  an override returns is masked to the 31-bit word, as the generated
+  kernel masks it);
 * after the combinational phase (:meth:`Instrumentation.wants_cycle_trace`
   plus a ``record_cycle*`` call) — captures the traced values exactly as
   they were used during the cycle;
@@ -44,6 +46,7 @@ from repro.core.iosystem import IOSystem, coerce_io
 from repro.core.stats import SimulationStats
 from repro.core.trace import TraceLog, TraceOptions
 from repro.errors import DeadlineExceededError, UnknownComponentError
+from repro.rtl.bits import WORD_MASK
 
 # ---------------------------------------------------------------------------
 # Cooperative run deadlines
@@ -156,7 +159,7 @@ class Instrumentation:
         if self.stats is not None:
             self.stats.record_alu_function(funct)
         if self.override is not None:
-            return self.override(name, value, cycle)
+            return self.override(name, value, cycle) & WORD_MASK
         return value
 
     def selector(self, name: str, index: int, value: int, cycle: int) -> int:
@@ -166,7 +169,7 @@ class Instrumentation:
         if self.stats is not None:
             self.stats.record_selector_case(name, index)
         if self.override is not None:
-            return self.override(name, value, cycle)
+            return self.override(name, value, cycle) & WORD_MASK
         return value
 
     # -- memory hook ---------------------------------------------------------
@@ -194,7 +197,7 @@ class Instrumentation:
                     cycle, name, "read", address, output
                 )
         if self.override is not None:
-            return self.override(name, output, cycle)
+            return self.override(name, output, cycle) & WORD_MASK
         return output
 
     # -- cycle tracing -------------------------------------------------------

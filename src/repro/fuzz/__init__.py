@@ -111,6 +111,16 @@ class FuzzSessionReport:
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def raised(self) -> int:
+        """How many machines raised in the reference run: the ones whose
+        error every configuration had to reproduce."""
+        return sum(
+            result.report is not None
+            and result.report.reference_error is not None
+            for result in self.results
+        )
+
     def describe(self) -> str:
         configs = sum(
             result.report.configs_run
@@ -118,8 +128,9 @@ class FuzzSessionReport:
         )
         if self.ok:
             return (
-                f"fuzz: {len(self.results)} machines ok "
-                f"({configs} configurations, seed {self.seed})"
+                f"fuzz: {len(self.results)} machines ok, {self.raised} "
+                f"raised in the reference ({configs} configurations, "
+                f"seed {self.seed})"
             )
         lines = [
             f"fuzz: {len(self.failures)}/{len(self.results)} machines "

@@ -24,8 +24,9 @@ thousands of generated machines:
 A failure is a :class:`DifferentialFailure` naming the configuration and
 the mismatches; :class:`DifferentialReport` aggregates them per spec.  A
 run that *raises* is also differential material: if the reference raises,
-every configuration must raise the same error type, cycle and message (a
-machine that breaks must break identically everywhere).
+every configuration — sequential and pooled, lanes included — must raise
+the same error type, cycle and message (a machine that breaks must break
+identically everywhere).
 
 :func:`ir_fingerprint` hashes the pickled lowered
 :class:`~repro.lowering.program.CycleProgram`, giving the fuzzer a strict
@@ -151,6 +152,31 @@ def _error_signature(error: SimulationError) -> str:
     return f"{type(error).__name__} at cycle {error.cycle}: {error}"
 
 
+def _mismatches(
+    expected: "SimulationResult | SimulationError",
+    outcome: "SimulationResult | Exception",
+    compare_trace: bool,
+    compare_stats: bool,
+) -> list[str]:
+    """How *outcome* (a result or the error a run raised) differs from
+    *expected*; empty when they agree."""
+    if isinstance(expected, SimulationError):
+        if not isinstance(outcome, SimulationError):
+            got = (type(outcome).__name__ if isinstance(outcome, Exception)
+                   else "a clean run")
+            return [f"reference raised {type(expected).__name__} but this "
+                    f"configuration produced {got}"]
+        if _error_signature(outcome) != _error_signature(expected):
+            return [f"raised {_error_signature(outcome)!r} but the "
+                    f"reference raised {_error_signature(expected)!r}"]
+        return []
+    if isinstance(outcome, Exception):
+        return [f"raised {type(outcome).__name__}: {outcome} but the "
+                "reference ran cleanly"]
+    return compare_results(expected, outcome, compare_trace=compare_trace,
+                           compare_stats=compare_stats)
+
+
 def run_differential(
     spec: Specification,
     cycles: int,
@@ -184,46 +210,12 @@ def run_differential(
 
     reference = sequential[REFERENCE_CONFIG]
     if isinstance(reference, SimulationError):
-        # the machine breaks on the reference: every configuration must
-        # break identically, and there is nothing to pool
         report.reference_error = type(reference).__name__
-        for label, outcome in sequential.items():
-            if label == REFERENCE_CONFIG:
-                continue
-            if type(outcome) is not type(reference):
-                got = (
-                    type(outcome).__name__
-                    if isinstance(outcome, SimulationError) else "a clean run"
-                )
-                report.failures.append(DifferentialFailure(
-                    config=label,
-                    mismatches=(
-                        f"reference raised {type(reference).__name__} but "
-                        f"this configuration produced {got}",
-                    ),
-                ))
-            elif _error_signature(outcome) != _error_signature(reference):
-                report.failures.append(DifferentialFailure(
-                    config=label,
-                    mismatches=(
-                        f"raised {_error_signature(outcome)!r} but the "
-                        f"reference raised {_error_signature(reference)!r}",
-                    ),
-                ))
-        return report
-
     for label, outcome in sequential.items():
         if label == REFERENCE_CONFIG:
             continue
-        if isinstance(outcome, SimulationError):
-            report.failures.append(DifferentialFailure(
-                config=label,
-                mismatches=(f"raised {type(outcome).__name__} but the "
-                            "reference ran cleanly",),
-            ))
-            continue
-        mismatches = compare_results(reference, outcome, compare_trace=True,
-                                     compare_stats=True)
+        mismatches = _mismatches(reference, outcome, compare_trace=True,
+                                 compare_stats=True)
         if mismatches:
             report.failures.append(DifferentialFailure(
                 config=label, mismatches=tuple(mismatches)
@@ -248,8 +240,11 @@ def run_differential(
         for label, factory in matrix:
             config = f"{label}@{executor}"
             expected = sequential[label]
-            if isinstance(expected, SimulationError):  # pragma: no cover
-                continue
+            if isinstance(reference, SimulationError):
+                # every pooled run must raise the reference's error
+                expected = reference
+            elif isinstance(expected, SimulationError):  # pragma: no cover
+                continue  # already a sequential-phase failure
             try:
                 with SimulationPool(
                     spec,
@@ -266,17 +261,8 @@ def run_differential(
                 continue
             report.configs_run += 1
             for item in batch.items:
-                if not item.ok:
-                    report.failures.append(DifferentialFailure(
-                        config=config,
-                        mismatches=(
-                            f"run {item.index} failed: "
-                            f"{type(item.error).__name__}: {item.error}",
-                        ),
-                    ))
-                    continue
-                mismatches = compare_results(
-                    expected, item.result,
+                mismatches = _mismatches(
+                    expected, item.result if item.ok else item.error,
                     compare_trace=not lanes,
                     compare_stats=item.request.collect_stats,
                 )

@@ -21,6 +21,18 @@ Validity is by construction, then enforced:
   valid — ALU function nibbles stay within the fourteen defined codes;
 * the result must pass :func:`repro.rtl.validate.ensure_valid` — a
   generator bug raises instead of producing a corrupt corpus entry.
+
+A quarter of the machines is built to break at run time instead, so the
+differential fuzzer also compares how a machine fails: one fault undoes
+a guarantee above at the first site of its kind — the first selector
+loses the tail of its case list, the RAM loses cells beneath its address
+field, or the first ALU of the combinational layers reads its function
+code from a four-bit field (codes 14 and 15 are undefined).  Those
+choices come from a second stream seeded by the same seed, so the main
+stream is untouched: a machine that draws no fault, and everything but
+the fault site of one that does, is exactly the machine the seed built
+before faults existed.  Whether a faulted machine actually raises
+depends on the values its run computes.
 """
 
 from __future__ import annotations
@@ -60,6 +72,13 @@ _FUNCTIONS = (
 #: Memory operation words for stateful components: read, write,
 #: write+trace, read+trace.
 _MEMORY_OPS = (0, 1, 5, 9)
+
+#: The run-time faults a generated machine may carry: a selector index
+#: past its case list, a RAM address past its cells, an ALU function code
+#: past 13.
+_FAULTS = ("selector", "address", "function")
+#: The share of machines that carries one of them.
+_FAULT_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -174,6 +193,13 @@ def generate_machine(
     """Generate the machine determined by *seed* under *config*."""
     config = config or GeneratorConfig()
     rng = random.Random(seed)
+    # the fault stream: never drawn from the main stream, so adding it
+    # changed no machine that draws no fault
+    fault_rng = random.Random(f"fault {seed}")
+    #: the fault still waiting for the first site of its kind
+    waiting = None
+    if fault_rng.random() < _FAULT_SHARE:
+        waiting = fault_rng.choice(_FAULTS)
     builder = SpecBuilder(f"fuzz machine seed={seed}")
     budget = rng.randrange(4, config.max_components + 1)
 
@@ -219,11 +245,12 @@ def generate_machine(
             bits = rng.randrange(1, 3)
             name = f"s{selector_index}"
             selector_index += 1
-            builder.selector(
-                name,
-                _bit_field(rng, producers, bits),
-                [_expression(rng, producers) for _ in range(1 << bits)],
-            )
+            select = _bit_field(rng, producers, bits)
+            cases = [_expression(rng, producers) for _ in range(1 << bits)]
+            if waiting == "selector":
+                waiting = None
+                del cases[fault_rng.randrange(1, len(cases)):]
+            builder.selector(name, select, cases)
         else:
             name = f"a{alu_index}"
             alu_index += 1
@@ -233,6 +260,9 @@ def generate_machine(
                 funct = control + rng.choice((".0.3", ".4.7"))
             else:
                 funct = rng.choice(_FUNCTIONS)
+            if waiting == "function":
+                waiting = None
+                funct = _bit_field(fault_rng, producers, 4)
             builder.alu(
                 name,
                 funct,
@@ -255,12 +285,19 @@ def generate_machine(
             initial = [
                 rng.randrange(0, 1 << 16) for _ in range(1 << ram_bits)
             ]
+        address = _bit_field(rng, producers, ram_bits)
+        data = _expression(rng, producers)
+        size = 1 << ram_bits
+        if waiting == "address":
+            waiting = None
+            size = fault_rng.randrange(1, size)
+            initial = initial and initial[:size]
         builder.memory(
             "ram",
-            address=_bit_field(rng, producers, ram_bits),
-            data=_expression(rng, producers),
+            address=address,
+            data=data,
             operation=operation,
-            size=1 << ram_bits,
+            size=size,
             initial_values=initial,
         )
         producers.append("ram")

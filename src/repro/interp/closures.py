@@ -53,9 +53,10 @@ Pull = Callable[[], int]
 def bind_pull(desc: tuple, values: list[int]) -> Pull:
     """Bind a descriptor to *values*, returning a zero-argument producer.
 
-    Whole-component references mask on read (like the interpreter's
-    ``ComponentRef.evaluate``) because stored values may be raw — e.g. a
-    memory-mapped input or an override hook can deposit anything.
+    Whole-component references mask on read, like the interpreter's
+    ``ComponentRef.evaluate`` (every stored value is already a word:
+    inputs and overrides are masked where they enter, and initial values
+    past the word are refused).
     """
     kind = desc[0]
     if kind == "const":
@@ -347,7 +348,8 @@ def _plan_memory(step: MemoryStep):
                         )
                     values[out_slot] = cells[address] = values[data_slot]
                 elif op_word == 2:
-                    values[out_slot] = io_read(address, cycle=cycle_box[0])
+                    values[out_slot] = (
+                        io_read(address, cycle=cycle_box[0]) & WORD_MASK)
                 else:
                     data = values[data_slot]
                     io_write(address, data, cycle=cycle_box[0])
@@ -375,7 +377,7 @@ def _plan_memory(step: MemoryStep):
                     )
                 output = cells[address] = values[data_slot]
             elif operation == 2:
-                output = io_read(address, cycle=cycle_box[0])
+                output = io_read(address, cycle=cycle_box[0]) & WORD_MASK
             else:
                 output = values[data_slot]
                 io_write(address, output, cycle=cycle_box[0])
@@ -440,9 +442,7 @@ class ThreadedProgram:
         def op() -> None:
             if not wants():
                 return
-            # raw stored values, exactly like the interpreter's state.lookup
-            # (an override or memory-mapped input may deposit out-of-word
-            # values; the trace shows them unmasked on every backend)
+            # stored values, exactly like the interpreter's state.lookup
             record(
                 cycle_box[0], {name: values[slot] for name, slot in entries}
             )

@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.interp.state import MachineState
 from repro.rtl.alu_ops import dologic, is_valid_function
+from repro.rtl.bits import WORD_MASK
 from repro.rtl.components import Alu, Memory, Selector
 from repro.rtl.memory_ops import MemoryOperation, decode_operation
 
@@ -106,7 +107,7 @@ def apply_memory_request(
         state.write_cell(memory.name, address, request.data)
         wrote_cell = True
     elif decoded.operation is MemoryOperation.INPUT:
-        new_output = io.read(address, cycle=state.cycle)
+        new_output = io.read(address, cycle=state.cycle) & WORD_MASK
     else:  # OUTPUT
         new_output = request.data
         io.write(address, request.data, cycle=state.cycle)

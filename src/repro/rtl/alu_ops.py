@@ -135,10 +135,11 @@ def dologic(funct: int, left: int, right: int) -> int:
     All operands and results are 31-bit unsigned words; arithmetic wraps.
     An unknown function code raises :class:`InvalidAluFunctionError`, which
     corresponds to the runtime case-statement failure in the generated
-    Pascal code.
+    Pascal code.  The word masks are inline: every ALU evaluation of every
+    backend comes through here, and ``mask_word`` would be two more calls.
     """
-    left = mask_word(left)
-    right = mask_word(right)
+    left &= WORD_MASK
+    right &= WORD_MASK
     if funct == FN_ZERO or funct == FN_UNUSED:
         return 0
     if funct == FN_RIGHT:
@@ -148,13 +149,13 @@ def dologic(funct: int, left: int, right: int) -> int:
     if funct == FN_NOT:
         return WORD_MASK - left
     if funct == FN_ADD:
-        return mask_word(left + right)
+        return (left + right) & WORD_MASK
     if funct == FN_SUB:
-        return mask_word(left - right)
+        return (left - right) & WORD_MASK
     if funct == FN_SHIFT_LEFT:
         return shift_left(left, right)
     if funct == FN_MUL:
-        return mask_word(left * right)
+        return (left * right) & WORD_MASK
     if funct == FN_AND:
         return left & right
     if funct == FN_OR:

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Iterator
 
 from repro.errors import SpecificationError
+from repro.rtl.bits import WORD_MASK
 from repro.rtl.expressions import Expression
 
 
@@ -162,6 +163,11 @@ class Memory(Component):
         if any(value < 0 for value in self.initial_values):
             raise SpecificationError(
                 f"memory '{self.name}' has a negative initial value"
+            )
+        if any(value > WORD_MASK for value in self.initial_values):
+            raise SpecificationError(
+                f"memory '{self.name}' has an initial value past the "
+                "31-bit word"
             )
 
     @property

@@ -67,7 +67,7 @@ from repro.rtl.expressions import (
     Field,
     parse_expression,
 )
-from repro.rtl.parser import check_component_name
+from repro.rtl.parser import ReadLimits, check_component_name
 from repro.rtl.scanner import check_one_line
 from repro.rtl.spec import Declaration, Specification
 from repro.rtl.validate import ensure_valid
@@ -81,10 +81,20 @@ FORMAT_VERSION = 1
 
 #: Abuse guards for machines arriving over the wire, held by
 #: :func:`check_spec_limits`; a JSON document over the component or case
-#: cap is rejected before any object is built.
+#: cap is rejected before any object is built, and specification text
+#: read with :data:`WIRE_LIMITS` stops at the first part past a cap.
 MAX_COMPONENTS = 4096
 MAX_TOTAL_MEMORY_CELLS = 1 << 20
 MAX_SELECTOR_CASES = 1 << 12
+
+#: The same caps for the text parser (``parse_spec(..., limits=...)``),
+#: which also holds macro expansion to 1 MiB of text in total.
+WIRE_LIMITS = ReadLimits(
+    components=MAX_COMPONENTS,
+    memory_cells=MAX_TOTAL_MEMORY_CELLS,
+    selector_cases=MAX_SELECTOR_CASES,
+    macro_chars=1 << 20,
+)
 
 #: Top-level keys a document may carry.
 _DOCUMENT_KEYS = frozenset(
@@ -476,10 +486,10 @@ def spec_from_json(doc: Any, validate: bool = True) -> Specification:
 
 
 def check_spec_limits(spec: Specification) -> None:
-    """The one spec gate: refuse a built machine over any wire cap.
+    """Refuse a built machine over any wire cap.
 
-    :func:`spec_from_json` applies it to every document, and the serving
-    protocol to every inline text ``spec``.  Raises
+    :func:`spec_from_json` applies it to every document; inline text is
+    held to the same caps while it is read (:data:`WIRE_LIMITS`).  Raises
     :class:`~repro.errors.ValidationError` for the first cap exceeded.
     """
     sizes = (

@@ -19,6 +19,7 @@ from repro.errors import (
     InvalidNameError,
     MacroRedefinitionError,
     UndefinedMacroError,
+    ValidationError,
 )
 
 #: Characters allowed in a macro name (same rule as component names).
@@ -52,9 +53,18 @@ def validate_macro_name(name: str) -> None:
 
 @dataclass
 class MacroTable:
-    """Ordered collection of macro definitions with expansion."""
+    """Ordered collection of macro definitions with expansion.
+
+    With a ``budget``, the characters every expansion produces, summed
+    over definitions and references, are held to it: an expansion past
+    it raises :class:`~repro.errors.ValidationError` before its text is
+    joined, so a chain of doubling definitions costs at most the budget.
+    """
 
     _macros: dict[str, str] = field(default_factory=dict)
+    #: the most characters expansions may produce (``None``: no cap)
+    budget: int | None = None
+    _spent: int = field(default=0, init=False)
 
     def __len__(self) -> int:
         return len(self._macros)
@@ -101,6 +111,14 @@ class MacroTable:
                 )
             out.append(self.body(name))
             i = j
+        if self.budget is not None:
+            self._spent += sum(map(len, out))
+            if self._spent > self.budget:
+                raise ValidationError(
+                    [f"specification has more than {self.budget} characters "
+                     f"of macro expansion; at most {self.budget} are "
+                     "accepted"]
+                )
         return "".join(out)
 
     def as_dict(self) -> dict[str, str]:

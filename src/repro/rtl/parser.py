@@ -12,16 +12,26 @@ The file format (Appendix A):
 
 ``{ ... }`` comments may appear anywhere whitespace may.  All tokens after
 the macro section are macro-expanded before interpretation.
+
+A parser given :class:`ReadLimits` stops at the first declaration or
+component past the component cap, the first memory past the total cell
+cap, the first selector case past the case cap and the first macro
+expansion past the expansion cap, so text from an untrusted source costs
+at most what the caps allow to build.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import (
     InvalidNameError,
+    MacroRedefinitionError,
     MalformedNumberError,
     SpecificationError,
+    UndefinedMacroError,
+    ValidationError,
 )
 from repro.rtl import numbers
 from repro.rtl.components import Alu, Component, Memory, Selector
@@ -50,16 +60,45 @@ def check_component_name(name: str, line: int | None = None) -> str:
     return name
 
 
+@dataclass(frozen=True)
+class ReadLimits:
+    """Caps a parser holds a specification to while it reads it."""
+
+    #: declarations, and component definitions
+    components: int
+    #: memory cells summed over every memory
+    memory_cells: int
+    #: cases of any one selector
+    selector_cases: int
+    #: characters macro expansion produces, summed over the whole text
+    macro_chars: int
+
+
+def _over_cap(what: str, cap: int, line: int) -> ValidationError:
+    return ValidationError(
+        [f"specification has more than {cap} {what} (line {line}); at most "
+         f"{cap} are accepted"]
+    )
+
+
 class SpecificationParser:
     """Single-use parser turning source text into a :class:`Specification`."""
 
-    def __init__(self, source: str, source_name: str = "<specification>") -> None:
+    def __init__(
+        self,
+        source: str,
+        source_name: str = "<specification>",
+        limits: ReadLimits | None = None,
+    ) -> None:
         self._source_name = source_name
         self._stream: TokenStream = tokenize(source)
-        self._macros = MacroTable()
+        self._limits = limits
+        self._macros = MacroTable(
+            budget=None if limits is None else limits.macro_chars)
         self._cycles: int | None = None
         self._declarations: list[Declaration] = []
         self._components: list[Component] = []
+        self._memory_cells = 0
         self._last_component: str | None = None
 
     # -- token helpers -------------------------------------------------------
@@ -94,7 +133,8 @@ class SpecificationParser:
             body = self._next(f"macro <{name}> body")
             try:
                 self._macros.define(name, body.text)
-            except SpecificationError as exc:
+            except (InvalidNameError, MacroRedefinitionError,
+                    UndefinedMacroError) as exc:
                 raise type(exc)(str(exc), token.line) from None
 
     def _parse_cycles(self) -> None:
@@ -126,6 +166,10 @@ class SpecificationParser:
             if traced:
                 name = name[:-1]
             check_component_name(name, token.line)
+            if (self._limits is not None and len(self._declarations)
+                    == self._limits.components):
+                raise _over_cap("declared components",
+                                self._limits.components, token.line)
             self._declarations.append(Declaration(name=name, traced=traced))
 
     # -- components -----------------------------------------------------------
@@ -166,6 +210,10 @@ class SpecificationParser:
                 len(token.text) == 1 and token.text in COMPONENT_LETTERS
             ):
                 break
+            if (self._limits is not None
+                    and len(cases) == self._limits.selector_cases):
+                raise _over_cap(f"cases in selector '{name}'",
+                                self._limits.selector_cases, token.line)
             cases.append(self._parse_expression_token(f"selector '{name}' case"))
         return Selector(name=name, select=select, cases=tuple(cases))
 
@@ -187,6 +235,11 @@ class SpecificationParser:
             )
         initial_values: tuple[int, ...] = ()
         size = abs(count)
+        self._memory_cells += size
+        if (self._limits is not None
+                and self._memory_cells > self._limits.memory_cells):
+            raise _over_cap("memory cells in total",
+                            self._limits.memory_cells, count_token.line)
         if count < 0:
             values = []
             for index in range(size):
@@ -216,6 +269,10 @@ class SpecificationParser:
             if token.text == ".":
                 return
             if len(token.text) == 1 and token.text in COMPONENT_LETTERS:
+                if (self._limits is not None and len(self._components)
+                        == self._limits.components):
+                    raise _over_cap("components", self._limits.components,
+                                    token.line)
                 if token.text == "A":
                     self._components.append(self._parse_alu())
                 elif token.text == "S":
@@ -251,14 +308,18 @@ def parse_spec(
     source_name: str = "<specification>",
     validate: bool = True,
     strict: bool = False,
+    limits: ReadLimits | None = None,
 ) -> Specification:
     """Parse specification *source* text into a :class:`Specification`.
 
     With ``validate=True`` (the default) hard semantic errors (unknown
     references, combinational cycles, ...) raise immediately; warnings are
-    available through :func:`repro.rtl.validate.validate`.
+    available through :func:`repro.rtl.validate.validate`.  With *limits*
+    the parser stops at the first part past a cap, raising
+    :class:`~repro.errors.ValidationError`; without (the default, as for
+    local files) nothing is capped.
     """
-    spec = SpecificationParser(source, source_name).parse()
+    spec = SpecificationParser(source, source_name, limits).parse()
     if validate:
         ensure_valid(spec, strict=strict)
     return spec

@@ -11,14 +11,20 @@ The scanner performs the purely lexical part of reading a specification:
   both the declaration list and the component section while also appearing
   inside expressions.
 
+Comments are checked for the whole text up front, but tokens are split
+off as the parser reads them, so a parser that stops early (see
+``ReadLimits`` in :mod:`repro.rtl.parser`) pays only for what it read.
+
 Macro expansion is *not* done here; the parser drives it so that macro
 definitions themselves are never expanded.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.errors import MissingCommentError, SpecificationError
 
@@ -51,77 +57,72 @@ class Token:
 class TokenStream:
     """A peekable stream of tokens produced by :func:`tokenize`."""
 
-    def __init__(self, tokens: list[Token], header_comment: str) -> None:
-        self._tokens = tokens
-        self._index = 0
+    def __init__(self, tokens: Iterable[Token], header_comment: str) -> None:
+        self._tokens = iter(tokens)
+        #: the token peeked at but not yet consumed
+        self._ahead: Token | None = None
         self.header_comment = header_comment
-
-    def __len__(self) -> int:
-        return len(self._tokens) - self._index
 
     @property
     def exhausted(self) -> bool:
-        return self._index >= len(self._tokens)
+        return self.peek() is None
 
     def peek(self) -> Token | None:
-        if self.exhausted:
-            return None
-        return self._tokens[self._index]
+        if self._ahead is None:
+            self._ahead = next(self._tokens, None)
+        return self._ahead
 
     def next(self) -> Token:
         token = self.peek()
         if token is None:
             raise SpecificationError("unexpected end of specification")
-        self._index += 1
+        self._ahead = None
         return token
-
-    def push_back(self) -> None:
-        """Un-read the most recently consumed token."""
-        if self._index == 0:
-            raise SpecificationError("cannot push back before the first token")
-        self._index -= 1
 
 
 def strip_comments(text: str, start_line: int = 1) -> str:
     """Replace ``{ ... }`` comments with spaces, preserving line breaks."""
-    out: list[str] = []
-    i = 0
-    line = start_line
-    depth_open_line = 0
-    in_comment = False
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            out.append("\n")
-            i += 1
-            continue
-        if in_comment:
-            if ch == "}":
-                in_comment = False
-            out.append(" ")
-            i += 1
-            continue
-        if ch == "{":
-            in_comment = True
-            depth_open_line = line
-            out.append(" ")
-            i += 1
-            continue
-        if ch == "}":
-            raise SpecificationError("unmatched '}' comment terminator", line)
-        out.append(ch)
-        i += 1
-    if in_comment:
-        raise SpecificationError("unterminated '{' comment", depth_open_line)
-    return "".join(out)
+    pieces: list[str] = []
+    position = 0
+    while True:
+        opening = text.find("{", position)
+        closing = text.find("}", position, None if opening < 0 else opening)
+        if closing >= 0:
+            raise SpecificationError(
+                "unmatched '}' comment terminator",
+                start_line + text.count("\n", 0, closing),
+            )
+        if opening < 0:
+            pieces.append(text[position:])
+            return "".join(pieces)
+        end = text.find("}", opening)
+        if end < 0:
+            raise SpecificationError(
+                "unterminated '{' comment",
+                start_line + text.count("\n", 0, opening),
+            )
+        pieces.append(text[position:opening])
+        pieces.append(_NOT_A_LINE_BREAK.sub(" ", text[opening:end + 1]))
+        position = end + 1
 
 
-def _split_trailing_period(raw: str) -> list[str]:
-    """Split a trailing ``.`` off a token longer than one character."""
-    if len(raw) > 1 and raw.endswith("."):
-        return [raw[:-1], "."]
-    return [raw]
+_NOT_A_LINE_BREAK = re.compile(r"[^\n]")
+_WORD = re.compile(r"\S+")
+
+
+def _scan(text: str, line: int) -> Iterator[Token]:
+    """The tokens of comment-free *text* starting on *line*, one at a time."""
+    position = 0
+    for word in _WORD.finditer(text):
+        start = word.start()
+        line += text.count("\n", position, start)
+        position = start
+        raw = word.group()
+        if len(raw) > 1 and raw.endswith("."):
+            yield Token(raw[:-1], line)
+            yield Token(".", line)
+        else:
+            yield Token(raw, line)
 
 
 def tokenize(source: str) -> TokenStream:
@@ -146,10 +147,5 @@ def tokenize(source: str) -> TokenStream:
         )
     check_one_line(header, "the header comment", 1)
     cleaned = strip_comments(rest, rest_start_line)
-    tokens: list[Token] = []
-    for offset, line_text in enumerate(cleaned.split("\n")):
-        line_number = rest_start_line + offset
-        for raw in line_text.split():
-            for piece in _split_trailing_period(raw):
-                tokens.append(Token(piece, line_number))
-    return TokenStream(tokens, header_comment=header)
+    return TokenStream(_scan(cleaned, rest_start_line),
+                       header_comment=header)

@@ -54,7 +54,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.machines.library import get_machine, machine_names
-from repro.rtl.interchange import check_spec_limits, spec_from_json
+from repro.rtl.interchange import WIRE_LIMITS, spec_from_json
 from repro.rtl.parser import parse_spec
 from repro.rtl.spec import Specification
 from repro.serving.batch import BatchResult, RunRequest
@@ -269,8 +269,9 @@ def resolve_spec(doc: Mapping) -> tuple[Specification, str, str]:
     machine from the registry; ``spec`` carries the machine itself —
     either specification source text in the paper's language (a JSON
     string) or an interchange-format document (a JSON object; see
-    ``docs/spec-format.md``); either passes the one spec gate,
-    :func:`~repro.rtl.interchange.check_spec_limits`.  Returns
+    ``docs/spec-format.md``); either is held to the wire caps of
+    :mod:`repro.rtl.interchange` (text while it is read, so a body over
+    a cap costs no more than the cap).  Returns
     ``(spec, label, pool_key)``: *label* is the display name, *pool_key*
     the stable identity the server keys its pool registry on — the
     machine name for bundled machines (no hashing on the warm path), a
@@ -311,8 +312,7 @@ def resolve_spec(doc: Mapping) -> tuple[Specification, str, str]:
         return spec, "<json spec>", f"spec:{spec_fingerprint(spec)}"
     _require_type(source, str, "'spec'")
     try:
-        spec = parse_spec(source, source_name="<http>")
-        check_spec_limits(spec)
+        spec = parse_spec(source, source_name="<http>", limits=WIRE_LIMITS)
     except SpecificationError as exc:
         raise ProtocolError(
             f"specification rejected: {exc}",

@@ -102,14 +102,43 @@ class TestFigure42SelectorGeneration:
 
     def test_case_dispatch(self, figure_4_2_spec):
         source = generate_python(figure_4_2_spec)
-        assert "_i = t_index" in source
-        assert "if _i == 0:" in source
-        assert "elif _i == 3:" in source
+        # the select expression is a plain local: tested directly, no copy
+        assert "_i = " not in source
+        assert "if t_index == 0:" in source
+        assert "elif t_index == 2:" in source
         assert "v_selector = t_value0" in source
+        # the last arm sits behind the case count
+        assert "elif t_index < 4:\n" in source
+        assert "v_selector = t_value3" in source
 
     def test_out_of_range_raises(self, figure_4_2_spec):
-        source = generate_python(figure_4_2_spec)
-        assert "selector_case_error('selector', _i, 4, cyclecount)" in source
+        body = [line.strip()
+                for line in generate_python(figure_4_2_spec).splitlines()]
+        error = body.index(
+            "selector_case_error('selector', t_index, 4, cyclecount)")
+        assert body[error - 1] == "else:"
+
+    def test_one_test_per_distinct_arm(self):
+        # eight cases, three distinct arms: v_a (five indices) goes last
+        spec = parse_spec(
+            "# t\ns a b r .\nS s r.0.2 a b a a b r a a\nA a 4 r 1\n"
+            "A b 5 r 1\nM r 0 s 1 1\n.")
+        source = generate_python(spec)
+        body = [line.strip() for line in source.splitlines()]
+        start = body.index("_i = (t_r & 7)")
+        assert body[start:start + 9] == [
+            "_i = (t_r & 7)",
+            "if _i in {1, 4}:",
+            "v_s = v_b",
+            "elif _i == 5:",
+            "v_s = t_r",
+            "elif _i < 8:",
+            "v_s = v_a",
+            "else:",
+            "selector_case_error('s', _i, 8, cyclecount)",
+        ]
+        assert sum(line.startswith(("if _i", "elif _i"))
+                   for line in body) == 3
 
     def test_constant_selector_folded_to_table(self):
         spec = parse_spec("# t\ns r .\nS s r.0.1 10 20 30 40\nM r 0 0 1 1\n.")
@@ -144,7 +173,21 @@ class TestFigure43MemoryGeneration:
         source = generate_python(counter_spec)
         # the counter register always writes: no dispatch emitted for it
         assert "_op = o_count" not in source
-        assert "m_count[a_count] = d_count" in source
+        assert "m_count[0] = d_count" in source
+
+    def test_constant_address_in_range_is_static(self, counter_spec):
+        # address 0 of a one-cell register: no latch and no bounds check
+        source = generate_python(counter_spec)
+        assert "a_count" not in source
+        assert "memory_range_error('count'" not in source
+
+    def test_constant_address_out_of_range_keeps_latch_and_check(self):
+        spec = parse_spec("# t\nm r .\nM m 5 r 0 4\nM r 0 1 1 1\n.",
+                          validate=False)
+        source = generate_python(spec)
+        assert "a_m = 5" in source
+        assert "memory_range_error('m', a_m, 4, cyclecount)" in source
+        assert "t_m = m_m[a_m]" in source
 
     def test_constant_specialisation_disabled_by_option(self, counter_spec):
         source = generate_python(

@@ -13,7 +13,8 @@ import functools
 
 import pytest
 
-from repro.compiler.threaded import ThreadedBackend
+from repro.compiler.threaded import ThreadedBackend, ThreadedSimulation
+from repro.core.backend import LaneOutcome
 from repro.errors import (
     InvalidAluFunctionError,
     SelectorRangeError,
@@ -112,6 +113,45 @@ class TestErrorDifferential:
         assert failure.config == "late"
         assert "at cycle 15" in failure.describe()
         assert "at cycle 14" in failure.describe()
+
+    def test_a_lane_group_that_fails_a_cycle_late_is_caught(self):
+        class LateLanes(ThreadedSimulation):
+            """Sabotage: a lane group reports its errors a cycle late."""
+
+            def run_lanes(self, cycles=None, ios=(), collect_stats=True):
+                return [
+                    LaneOutcome(None, InvalidAluFunctionError(
+                        "ALU 'a' computed function code 14",
+                        outcome.error.cycle + 1))
+                    if outcome.error is not None else outcome
+                    for outcome in super().run_lanes(cycles, ios,
+                                                     collect_stats)
+                ]
+
+        class LateLanesBackend(ThreadedBackend):
+            def prepare(self, spec):
+                prepared = super().prepare(spec)
+                return LateLanes(spec, prepared.program,
+                                 prepared.prepare_seconds)
+
+        report = run_differential(
+            parse_spec(self.BAD_FUNCT), cycles=20, executors=("lane",),
+            matrix=(("interpreter", InterpreterBackend),
+                    ("late", LateLanesBackend)),
+        )
+        # the sequential run and the reference's own pool agree; every
+        # run of the sabotaged lane groups is caught
+        assert {failure.config for failure in report.failures} == {
+            f"late@lane#{index}" for index in range(4)}
+        assert all("at cycle 15" in failure.describe()
+                   for failure in report.failures)
+
+    def test_faulted_machines_break_identically_everywhere(self):
+        session = run_fuzz_session(7, 20, executors=("serial", "lane"))
+        assert session.ok, session.describe()
+        assert session.raised > 0
+        assert (f"{session.raised} raised in the reference"
+                in session.describe())
 
 
 class CorruptingBackend(ThreadedBackend):

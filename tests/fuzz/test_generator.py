@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.cache import spec_fingerprint
+from repro.fuzz import generator
 from repro.fuzz.generator import (
     GeneratorConfig,
     generate_corpus,
     generate_machine,
 )
+from repro.rtl.components import Memory, Selector
 from repro.rtl.validate import ensure_valid
 from repro.rtl.writer import spec_to_text
 
@@ -97,6 +101,50 @@ class TestDiversity:
                 assert "inport" in machine.spec.component_map
                 saw_inputs = True
         assert saw_inputs
+
+
+class TestFaults:
+    """A seeded share of machines is built to break at run time."""
+
+    @staticmethod
+    def _fault_sites(seeds, monkeypatch):
+        """seed -> the components its fault changed, against the machine
+        the seed builds when no machine carries a fault"""
+        machines = {seed: generate_machine(seed) for seed in seeds}
+        monkeypatch.setattr(generator, "_FAULT_SHARE", 0.0)
+        sites = {}
+        for seed, machine in machines.items():
+            clean = generate_machine(seed)
+            assert machine.cycles == clean.cycles
+            assert machine.inputs == clean.inputs
+            sites[seed] = [
+                component
+                for name, component in machine.spec.component_map.items()
+                if component != clean.spec.component_map[name]
+            ]
+        return sites
+
+    def test_a_share_of_machines_carries_each_fault(self, monkeypatch):
+        sites = self._fault_sites(range(200), monkeypatch)
+        # a fault touches its one site, and nothing else
+        assert all(len(changed) <= 1 for changed in sites.values())
+        kinds = Counter(
+            type(changed[0]).__name__ if changed else None
+            for changed in sites.values()
+        )
+        assert set(kinds) == {None, "Selector", "Memory", "Alu"}
+        assert kinds[None] > len(sites) - kinds[None]
+
+    def test_each_fault_undoes_its_guarantee(self, monkeypatch):
+        sites = self._fault_sites(range(60), monkeypatch)
+        for changed in filter(None, sites.values()):
+            component = changed[0]
+            if isinstance(component, Selector):
+                assert component.case_count < 1 << component.select.total_width
+            elif isinstance(component, Memory):
+                assert component.size < 1 << component.address.total_width
+            else:
+                assert component.funct.total_width == 4
 
 
 class TestConfigValidation:

@@ -101,6 +101,14 @@ class TestMemory:
         with pytest.raises(SpecificationError):
             self.make(size=1, initial=(-1,))
 
+    def test_initial_value_past_the_word_rejected(self):
+        # every value a memory holds is a 31-bit word, so the compiled
+        # kernel may read its cells unmasked
+        assert self.make(size=1, initial=(2 ** 31 - 1,)).initial_output == (
+            2 ** 31 - 1)
+        with pytest.raises(SpecificationError, match="31-bit word"):
+            self.make(size=1, initial=(2 ** 31,))
+
     def test_zero_size_rejected(self):
         with pytest.raises(SpecificationError):
             self.make(size=0)

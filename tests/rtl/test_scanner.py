@@ -90,25 +90,9 @@ class TestTokenStream:
         assert stream.peek().text == "a"
         assert stream.next().text == "a"
 
-    def test_push_back(self):
-        stream = tokenize("# t\na b")
-        stream.next()
-        stream.push_back()
-        assert stream.next().text == "a"
-
-    def test_push_back_before_start_rejected(self):
-        stream = tokenize("# t\na")
-        with pytest.raises(SpecificationError):
-            stream.push_back()
-
     def test_next_past_end_rejected(self):
         stream = tokenize("# t\na")
         stream.next()
         with pytest.raises(SpecificationError):
             stream.next()
 
-    def test_len_counts_remaining(self):
-        stream = tokenize("# t\na b c")
-        assert len(stream) == 3
-        stream.next()
-        assert len(stream) == 2

@@ -151,6 +151,119 @@ class TestResolveSpec:
         assert excinfo.value.kind == "invalid_spec"
 
 
+#: parts past the cap in each over-cap body below
+_TAIL = 20_000
+
+
+def _over_cap_bodies():
+    """cap -> (body past it, most tokens and expressions the parser may
+    build before it refuses the body)"""
+    from repro.rtl.interchange import (
+        MAX_COMPONENTS,
+        MAX_SELECTOR_CASES,
+        MAX_TOTAL_MEMORY_CELLS,
+    )
+
+    over = MAX_COMPONENTS + _TAIL
+    return {
+        "declarations": (
+            "# many\n" + " ".join(f"a{i}" for i in range(over)) + " .\n.\n",
+            MAX_COMPONENTS + 1, 0),
+        # an ALU definition is five tokens and three expressions
+        "components": (
+            "# many\n.\n" + "".join(f"A a{i} 0 0 0\n" for i in range(over))
+            + ".\n",
+            5 * MAX_COMPONENTS + 2, 3 * MAX_COMPONENTS),
+        "memory cells": (
+            f"# big\nm n .\nM m 0 0 0 {MAX_TOTAL_MEMORY_CELLS - 8}\n"
+            f"M n 0 0 0 -{_TAIL}" + " 7" * _TAIL + "\n.\n",
+            15, 6),
+        "selector cases": (
+            "# wide\ns .\nS s 0" + " 0" * (MAX_SELECTOR_CASES + _TAIL)
+            + "\n.\n",
+            MAX_SELECTOR_CASES + 6, MAX_SELECTOR_CASES + 1),
+    }
+
+
+class TestTextSpecCaps:
+    """An inline text spec over a wire cap is refused while it is read:
+    the parser builds no more than the cap allows, however long the rest
+    of the body.  Counted in tokens and expressions, not timed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of the tokens and expressions the parser builds."""
+        from collections import Counter
+
+        from repro.rtl import parser, scanner
+
+        counts = Counter()
+        token, expression = scanner.Token, parser.parse_expression
+
+        def counting_token(*args):
+            counts["tokens"] += 1
+            return token(*args)
+
+        def counting_expression(text):
+            counts["expressions"] += 1
+            return expression(text)
+
+        monkeypatch.setattr(scanner, "Token", counting_token)
+        monkeypatch.setattr(parser, "parse_expression", counting_expression)
+        return counts
+
+    @pytest.mark.parametrize("cap", list(_over_cap_bodies()))
+    def test_reading_stops_at_the_cap(self, built, cap):
+        body, most_tokens, most_expressions = _over_cap_bodies()[cap]
+        with pytest.raises(ProtocolError) as excinfo:
+            resolve_spec({"spec": body})
+        assert excinfo.value.status == 400
+        assert excinfo.value.kind == "invalid_specification"
+        assert "at most" in str(excinfo.value)
+        assert built["tokens"] <= most_tokens, built
+        assert built["expressions"] <= most_expressions, built
+
+    @pytest.mark.parametrize("body", [
+        # each definition doubles the one before, up to 2^24 characters
+        "# chain\n~m0 x\n"
+        + "".join(f"~m{i} ~m{i - 1}~m{i - 1}\n" for i in range(1, 25))
+        + "a .\nA a 0 0 0\n.\n",
+        # one token repeats a 1000-character macro 2000 times
+        "# repeats\n~m " + "x" * 1000 + "\na .\nA a " + "~m" * 2000
+        + " 0 0\n.\n",
+    ], ids=["doubling definitions", "repeated references"])
+    def test_macro_expansion_stops_at_the_cap(self, monkeypatch, body):
+        from repro.rtl import macros
+        from repro.rtl.interchange import WIRE_LIMITS
+
+        expand, expanded = macros.MacroTable.expand, []
+
+        def counting_expand(table, text):
+            result = expand(table, text)
+            if macros.MACRO_SIGIL in text:
+                expanded.append(len(result))
+            return result
+
+        monkeypatch.setattr(macros.MacroTable, "expand", counting_expand)
+        with pytest.raises(ProtocolError) as excinfo:
+            resolve_spec({"spec": body})
+        assert excinfo.value.status == 400
+        assert excinfo.value.kind == "invalid_specification"
+        assert "macro expansion" in str(excinfo.value)
+        assert sum(expanded) <= WIRE_LIMITS.macro_chars
+
+    def test_a_local_file_has_no_cap(self):
+        from repro.rtl.interchange import MAX_SELECTOR_CASES, WIRE_LIMITS
+        from repro.rtl.parser import parse_spec
+
+        spec = parse_spec("# wide\ns .\nS s 0"
+                          + " 0" * (MAX_SELECTOR_CASES + 1) + "\n.\n")
+        assert spec.selectors()[0].case_count == MAX_SELECTOR_CASES + 1
+        spec = parse_spec("# long macro\n~m " + "x" * 1000 + "\n~n "
+                          + "~m" * 2000 + "\ns .\nS s 0 0\n.\n")
+        assert len(spec.macros["n"]) > WIRE_LIMITS.macro_chars
+
+
 class TestParseBatchRequest:
     def test_happy_path(self):
         batch = parse_batch_request(
